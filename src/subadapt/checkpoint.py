@@ -29,13 +29,14 @@ _BUILDERS = {
 }
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is damaged, foreign, or does not fit its architecture."""
+
+
 def _kind_of(net) -> str:
-    if isinstance(net, Generator):
-        return "generator"
-    if isinstance(net, Discriminator):
-        return "discriminator"
-    if isinstance(net, Classifier):
-        return "classifier"
+    for kind, (_, net_cls) in _BUILDERS.items():
+        if isinstance(net, net_cls):
+            return kind
     raise TypeError(f"not a checkpointable network: {type(net).__name__}")
 
 
@@ -57,29 +58,45 @@ def save_checkpoint(models: dict, path, seed: int = 0, step_count: int = 0) -> N
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns ({name: rebuilt network}, {"seed": ..., "step_count": ...})."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != FORMAT_NAME:
-        raise ValueError(f"{path}: not a {FORMAT_NAME} file")
+    """Returns ({name: rebuilt network}, {"seed": ..., "step_count": ...}); CheckpointError
+    for a file that is not JSON, not this format, or does not fit its architecture."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: damaged checkpoint ({e})") from e
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
+        raise CheckpointError(f"{path}: not a {FORMAT_NAME} file")
     if payload.get("version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    models = {}
-    for name, entry in payload["models"].items():
-        spec_cls, net_cls = _BUILDERS[entry["kind"]]
-        net = net_cls(spec_cls(**entry["spec"]))
-        params = net.parameters()
-        stored = entry["parameters"]
-        if set(stored) != set(params):
-            raise ValueError(f"{path}: parameter names do not match architecture for {name!r}")
-        for pname, p in params.items():
-            rec = stored[pname]
-            arr = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-            if arr.shape != p.data.shape:
-                raise ValueError(f"{path}: parameter {pname!r} shape {arr.shape} does not "
-                                 f"match architecture shape {p.data.shape}")
-            p.data = arr
-        models[name] = net
-    return models, {"seed": payload["seed"], "step_count": payload["step_count"]}
+        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    meta = {"seed": payload.get("seed"), "step_count": payload.get("step_count")}
+    if not isinstance(payload.get("models"), dict) or not all(type(v) is int for v in meta.values()):
+        raise CheckpointError(f"{path}: damaged checkpoint header")
+    return {name: _rebuild(entry, f"{path}: model {name!r}")
+            for name, entry in payload["models"].items()}, meta
+
+
+def _rebuild(entry, where: str):
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    spec = entry.get("spec") if kind in _BUILDERS else None
+    if not (isinstance(spec, dict) and set(spec) == set(_SPEC_FIELDS[kind])
+            and all(type(v) is int for v in spec.values())):
+        raise CheckpointError(f"{where} has an unknown kind or a damaged spec")
+    spec_cls, net_cls = _BUILDERS[kind]
+    try:
+        net = net_cls(spec_cls(**spec))
+    except ValueError as e:  # the spec's own range checks
+        raise CheckpointError(f"{where}: {e}") from e
+    params, stored = net.parameters(), entry.get("parameters")
+    if not isinstance(stored, dict) or set(stored) != set(params):
+        raise CheckpointError(f"{where}: parameter names do not match architecture")
+    for pname, p in params.items():
+        rec = stored[pname]
+        if not (isinstance(rec, dict) and rec.get("shape") == list(p.data.shape)
+                and isinstance(rec.get("values"), list) and len(rec["values"]) == p.data.size
+                and all(type(v) in (int, float) for v in rec["values"])):
+            raise CheckpointError(f"{where}: parameter {pname!r} does not fit shape {p.data.shape}")
+        p.data = np.asarray(rec["values"], dtype=np.float64).reshape(p.data.shape)
+    return net
 
 
 def save_bundle(bundle: ModelBundle, path, seed: int = 0, step_count: int = 0) -> None:
@@ -92,5 +109,5 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
     models, meta = load_checkpoint(path)
     missing = {"generator", "discriminator", "classifier"} - set(models)
     if missing:
-        raise ValueError(f"{path}: bundle checkpoint is missing {sorted(missing)}")
+        raise CheckpointError(f"{path}: bundle checkpoint is missing {sorted(missing)}")
     return ModelBundle(models["generator"], models["discriminator"], models["classifier"]), meta

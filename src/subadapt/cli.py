@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .checkpoint import CheckpointError
 from .harness import ConfigError
 from .pipeline import IngestionError, PipelineError
 from .sampler import SamplerError
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IngestionError, PipelineError, SamplerError, FileNotFoundError) as e:
+    except (IngestionError, PipelineError, SamplerError, CheckpointError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergedError as e:

@@ -458,15 +458,21 @@ def _pad_amounts(length: int, kernel: int, stride: int, padding: str) -> tuple[i
     return left, total - left
 
 
-def _conv1d_raw(x, k, b, stride, pad_left, pad_right):
-    xp = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
+def _pad(x, pad_left, pad_right):
+    return x if pad_left == pad_right == 0 else np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
+
+
+def _conv1d_raw(xp, k, b, stride):
+    """Cross-correlate padded [batch, in, length] input, one GEMM per kernel tap: tap j
+    reads the strided view xp[:, :, j : j + span : stride], so no im2col copy is built."""
     kernel = k.shape[2]
     out_len = (xp.shape[2] - kernel) // stride + 1
-    idx = stride * np.arange(out_len)[:, None] + np.arange(kernel)[None, :]
-    cols = xp[:, :, idx]
-    out = np.einsum("bcok,fck->bfo", cols, k, optimize=True)
+    span = stride * (out_len - 1) + 1
+    out = np.matmul(k[:, :, 0], xp[:, :, :span:stride])
+    for j in range(1, kernel):
+        out += np.matmul(k[:, :, j], xp[:, :, j:j + span:stride])
     if b is not None:
-        out = out + b[None, :, None]
+        out += b[None, :, None]
     return out
 
 
@@ -475,7 +481,8 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same") -> Ten
 
     Accepts an unbatched [channels_in, length] input and returns the
     matching unbatched output. Output length follows the usual
-    floor((padded - k) / stride) + 1 rule.
+    floor((padded - k) / stride) + 1 rule. Forward, input gradient and
+    kernel gradient are each one GEMM per kernel tap.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     bias = as_tensor(bias) if bias is not None else None
@@ -497,47 +504,32 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same") -> Ten
     if kernel > length + pl + pr:
         raise ShapeError(f"kernel size {kernel} exceeds padded length {length + pl + pr}")
 
-    out_data = _conv1d_raw(xd, kernels.data, None if bias is None else bias.data, stride, pl, pr)
+    xp, kd = _pad(xd, pl, pr), kernels.data
+    out_data = _conv1d_raw(xp, kd, None if bias is None else bias.data, stride)
     out = Tensor(out_data[0] if unbatched else out_data)
-
-    padded_len = length + pl + pr
-    out_len = out_data.shape[2]
-    idx = stride * np.arange(out_len)[:, None] + np.arange(kernel)[None, :]
-    xd_saved = xd
+    span = stride * (out_data.shape[2] - 1) + 1
 
     def grad(g, needs):
         gb = g[None] if unbatched else g
         d_x = d_k = d_b = None
-        if needs[1]:
-            xp = np.pad(xd_saved, ((0, 0), (0, 0), (pl, pr)))
-            d_k = np.einsum("bfo,bcok->fck", gb, xp[:, :, idx], optimize=True)
         if needs[0]:
-            if stride == 1:
-                gp = np.pad(gb, ((0, 0), (0, 0), (kernel - 1, kernel - 1)))
-                idx2 = np.arange(padded_len)[:, None] + (kernel - 1) - np.arange(kernel)[None, :]
-                dxp = np.einsum("bfjt,fct->bcj", gp[:, :, idx2], kernels.data, optimize=True)
-            else:
-                dxp = np.zeros((gb.shape[0], n_in, padded_len))
-                contrib = np.einsum("bfo,fck->bcok", gb, kernels.data, optimize=True)
-                np.add.at(dxp, (slice(None), slice(None), idx), contrib)
-            d_x = dxp[:, :, pl:pl + length]
-            if unbatched:
-                d_x = d_x[0]
+            dxp = np.zeros(xp.shape)
+            for j in range(kernel):
+                dxp[:, :, j:j + span:stride] += np.matmul(kd[:, :, j].T, gb)
+            d_x = dxp[0, :, pl:pl + length] if unbatched else dxp[:, :, pl:pl + length]
+        if needs[1]:
+            d_k = np.empty(kd.shape)
+            for j in range(kernel):
+                d_k[:, :, j] = np.matmul(gb, xp[:, :, j:j + span:stride].transpose(0, 2, 1)).sum(axis=0)
         if bias is not None and needs[2]:
             d_b = gb.sum(axis=(0, 2))
         return (d_x, d_k) if bias is None else (d_x, d_k, d_b)
 
+    def fwd(xv, kv, bv=None):
+        r = _conv1d_raw(_pad(xv[None] if unbatched else xv, pl, pr), kv, bv, stride)
+        return r[0] if unbatched else r
+
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
-
-    if bias is None:
-        def fwd(xv, kv):
-            r = _conv1d_raw(xv[None] if unbatched else xv, kv, None, stride, pl, pr)
-            return r[0] if unbatched else r
-    else:
-        def fwd(xv, kv, bv):
-            r = _conv1d_raw(xv[None] if unbatched else xv, kv, bv, stride, pl, pr)
-            return r[0] if unbatched else r
-
     _record("conv1d", out, inputs, fwd, grad)
     return out
 
@@ -556,10 +548,12 @@ def dense(x, weights, bias=None) -> Tensor:
     if bias is not None and bias.data.shape != (m,):
         raise ShapeError(f"dense bias must have shape ({m},), got {bias.data.shape}")
 
-    out_data = xd @ weights.data.T
-    if bias is not None:
-        out_data = out_data + bias.data
-    out = Tensor(out_data[0] if unbatched else out_data)
+    def fwd(xv, wv, bv=None):
+        r = (xv[None] if unbatched else xv) @ wv.T
+        r = r if bv is None else r + bv
+        return r[0] if unbatched else r
+
+    out = Tensor(fwd(x.data, weights.data, None if bias is None else bias.data))
     xd_saved, wd = xd, weights.data
 
     def grad(g, needs):
@@ -568,23 +562,9 @@ def dense(x, weights, bias=None) -> Tensor:
         if d_x is not None and unbatched:
             d_x = d_x[0]
         d_w = (gb.T @ xd_saved) if needs[1] else None
-        if bias is None:
-            return d_x, d_w
-        d_b = gb.sum(axis=0) if needs[2] else None
-        return d_x, d_w, d_b
+        d_b = gb.sum(axis=0) if bias is not None and needs[2] else None
+        return (d_x, d_w) if bias is None else (d_x, d_w, d_b)
 
-    if bias is None:
-        inputs = (x, weights)
-
-        def fwd(xv, wv):
-            r = (xv[None] if unbatched else xv) @ wv.T
-            return r[0] if unbatched else r
-    else:
-        inputs = (x, weights, bias)
-
-        def fwd(xv, wv, bv):
-            r = (xv[None] if unbatched else xv) @ wv.T + bv
-            return r[0] if unbatched else r
-
+    inputs = (x, weights) if bias is None else (x, weights, bias)
     _record("dense", out, inputs, fwd, grad)
     return out

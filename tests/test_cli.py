@@ -130,3 +130,18 @@ def test_report_with_nothing_to_show(workspace, capsys):
     config_path, _ = workspace
     assert main(["report", "--config", str(config_path)]) == EXIT_OK
     assert "no reports found" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("damage", ["truncated", "foreign"])
+def test_damaged_checkpoint_is_a_data_error(workspace, capsys, damage):
+    config_path, out_dir = workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    ckpt = out_dir / "adapted" / "checkpoint.json"
+    text = ckpt.read_text()
+    ckpt.write_text(text[:len(text) // 2] if damage == "truncated" else '{"models": []}\n')
+    assert main(["evaluate", "--config", str(config_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(ckpt) in err
+    assert len(err.strip().splitlines()) == 1

@@ -1,8 +1,11 @@
 """Network construction: layer audits, shapes, init, checkpoint round trips."""
+import json
+
 import numpy as np
 import pytest
 
-from subadapt.checkpoint import load_bundle, load_checkpoint, save_bundle, save_checkpoint
+from subadapt.checkpoint import (CheckpointError, load_bundle, load_checkpoint, save_bundle,
+                                 save_checkpoint)
 from subadapt.networks import (Classifier, ClassifierSpec, Discriminator, DiscriminatorSpec,
                                Generator, GeneratorSpec, ModelBundle, build_bundle,
                                parameter_count)
@@ -241,6 +244,48 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
     bad_version.write_text(text)
     with pytest.raises(ValueError):
         load_checkpoint(bad_version)
+
+
+def _damage(payload, how):
+    entry = payload["models"]["classifier"]
+    rec = entry["parameters"]["conv0.kernels"]
+    if how == "models_list":
+        payload["models"] = []
+    elif how == "entry_string":
+        payload["models"]["classifier"] = "classifier"
+    elif how == "unknown_kind":
+        entry["kind"] = "critic"
+    elif how == "spec_extra_field":
+        entry["spec"]["depth"] = 3
+    elif how == "spec_string_value":
+        entry["spec"]["input_dim"] = "10"
+    elif how == "spec_invalid_value":
+        entry["spec"]["num_classes"] = 1
+    elif how == "parameters_list":
+        entry["parameters"] = []
+    elif how == "values_strings":
+        rec["values"] = ["x"] * len(rec["values"])
+    elif how == "values_too_few":
+        rec["values"] = rec["values"][:-1]
+    elif how == "shape_string":
+        rec["shape"] = "8,1,3"
+    elif how == "seed_missing":
+        del payload["seed"]
+
+
+@pytest.mark.parametrize("how", ["models_list", "entry_string", "unknown_kind", "spec_extra_field",
+                                 "spec_string_value", "spec_invalid_value", "parameters_list",
+                                 "values_strings", "values_too_few", "shape_string",
+                                 "seed_missing"])
+def test_checkpoint_damage_raises_checkpoint_error(tmp_path, how):
+    path = tmp_path / "cls.json"
+    save_checkpoint({"classifier": Classifier(ClassifierSpec(10, num_classes=3, base_filters=8))},
+                    path)
+    payload = json.loads(path.read_text())
+    _damage(payload, how)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
 
 
 def test_bundle_loader_requires_all_three_networks(tmp_path):

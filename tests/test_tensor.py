@@ -296,6 +296,83 @@ def test_conv1d_gradients(stride, padding):
              x, k, b)
 
 
+def conv1d_reference(x, k, b, stride, padding, g):
+    """Plain loops over the cross-correlation definition: output and the three gradients for upstream g."""
+    length = x.shape[-1]
+    n_out, n_in, width = k.shape
+    if padding == "same":
+        out_len = -(-length // stride)
+        total = max(0, (out_len - 1) * stride + width - length)
+        left = total // 2
+    else:
+        out_len, total, left = (length - width) // stride + 1, 0, 0
+    xp = np.zeros((x.shape[0], n_in, length + total))
+    xp[:, :, left:left + length] = x
+    out = np.zeros((x.shape[0], n_out, out_len))
+    d_xp, d_k = np.zeros_like(xp), np.zeros_like(k)
+    for i in range(x.shape[0]):
+        for f in range(n_out):
+            for o in range(out_len):
+                out[i, f, o] = b[f]
+                for c in range(n_in):
+                    for j in range(width):
+                        t = o * stride + j
+                        out[i, f, o] += k[f, c, j] * xp[i, c, t]
+                        d_xp[i, c, t] += g[i, f, o] * k[f, c, j]
+                        d_k[f, c, j] += g[i, f, o] * xp[i, c, t]
+    return out, d_xp[:, :, left:left + length], d_k, g.sum(axis=(0, 2))
+
+
+def _conv_against_reference(x_shape, width, stride, padding, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, x_shape[-2], width)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    with Tape() as tape:
+        out = T.conv1d(x, k, b, stride=stride, padding=padding)
+        probe = rng.normal(size=out.shape)
+        loss = T.sum_all(T.mul(out, probe))
+    grads = backward(tape, loss)
+    batched = len(x_shape) == 3
+    ref_out, ref_dx, ref_dk, ref_db = conv1d_reference(
+        x.data if batched else x.data[None], k.data, b.data, stride, padding,
+        probe if batched else probe[None])
+    if not batched:
+        ref_out, ref_dx = ref_out[0], ref_dx[0]
+    assert out.shape == ref_out.shape
+    for got, want in ((out.data, ref_out), (grads[x], ref_dx), (grads[k], ref_dk), (grads[b], ref_db)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv1d_matches_loop_reference(stride, padding, width, batched):
+    shape = (2, 2, 11) if batched else (2, 11)
+    _conv_against_reference(shape, width, stride, padding, seed=100 * stride + width)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_conv1d_kernel_spanning_whole_padded_input_matches_reference(stride):
+    # one output per filter: valid with kernel == length, and same padding length 1 out to 4
+    _conv_against_reference((2, 3, 5), 5, stride, "valid", seed=7)
+    _conv_against_reference((2, 3, 1), 4, stride, "same", seed=8)
+
+
+def test_conv1d_stride_two_valid_input_gradient_by_finite_differences():
+    # length 10, width 3, stride 2 reads samples 0..8 only; the last one must get zero gradient
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(2, 2, 10)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 2, 3)))
+    probe = Tensor(rng.normal(size=(2, 3, 4)))
+    fd_check(lambda: T.sum_all(T.mul(T.conv1d(x, k, stride=2, padding="valid"), probe)), x)
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(T.conv1d(x, k, stride=2, padding="valid"), probe))
+    assert np.array_equal(backward(tape, loss)[x][:, :, 9], np.zeros((2, 2)))
+
+
 def test_conv1d_unbatched_gradient():
     rng = np.random.default_rng(17)
     x = Tensor(rng.normal(size=(2, 9)), requires_grad=True)
