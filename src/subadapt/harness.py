@@ -3,7 +3,8 @@
 One JSON config drives everything. Every command writes into
 config["output_dir"]:
 
-    prepared/        six dataset directories + fitted models + prepare.json
+    prepared/        six dataset directories + fitted models + prepare.json,
+                     which holds one sha256 over the six splits' files
     adapted/         checkpoint.json, losses.csv, record.json (+ report.*)
     no_transfer/     checkpoint.json, record.json (+ report.*)
     supervised/      checkpoint.json, record.json (+ report.*)
@@ -11,6 +12,8 @@ config["output_dir"]:
 
 Reruns with the same config and seed are byte-identical for datasets,
 checkpoints and loss CSVs (records carry wall-clock durations and differ).
+Each run record keeps the splits' sha256 it was trained on, and `evaluate`
+refuses a run whose splits were prepared anew since.
 """
 from __future__ import annotations
 
@@ -277,6 +280,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _hash_splits(prepared: Path) -> str:
+    """One digest over every file of the six saved splits."""
+    digest = hashlib.sha256()
+    for name in SPLIT_NAMES:
+        for path in sorted((prepared / name).iterdir()):
+            digest.update(f"{name}/{path.name} {_sha256(path)}\n".encode())
+    return digest.hexdigest()
+
+
 def _write_record(directory: Path, payload: dict) -> None:
     (directory / "record.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -317,6 +329,8 @@ def prepare_run(cfg: RunConfig) -> dict:
     pooled_train = np.vstack([splits["source_train"].windows, splits["target_train"].windows])
     out = cfg.prepared_dir
     out.mkdir(parents=True, exist_ok=True)
+    # written last: until then the directory reads as not prepared
+    (out / "prepare.json").unlink(missing_ok=True)
 
     if cfg.data_kind == "synthetic":
         # synthetic windows arrive unscaled; pin each dimension to [0, 1] on pooled train
@@ -344,6 +358,7 @@ def prepare_run(cfg: RunConfig) -> dict:
         "pca": None if pca is None else {
             "output_dim": pca.output_dim,
             "explained_variance": float(pca.explained_variance_ratio.sum())},
+        "splits_sha256": _hash_splits(out),
         "duration_seconds": time.time() - started,
     }
     (out / "prepare.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -355,6 +370,18 @@ def load_prepared(cfg: RunConfig) -> dict:
     if not (out / "prepare.json").exists():
         raise PipelineError(f"no prepared data under {out}; run `subadapt prepare` first")
     return {name: DomainDataset.load(out / name) for name in SPLIT_NAMES}
+
+
+def _read_json(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise PipelineError(f"{path} is damaged: {e}") from None
+
+
+def _splits_sha256(cfg: RunConfig) -> str | None:
+    """The splits' sha256 that prepare.json recorded."""
+    return _read_json(cfg.prepared_dir / "prepare.json").get("splits_sha256")
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +433,7 @@ def train_run(cfg: RunConfig) -> dict:
             "loss_g": state.history[-1].loss_g},
         "artifacts": {"checkpoint.json": _sha256(ckpt),
                       "losses.csv": _sha256(run_dir / "losses.csv")},
+        "splits_sha256": _splits_sha256(cfg),
         "duration_seconds": time.time() - started,
     }
     _write_record(run_dir, record)
@@ -438,6 +466,7 @@ def baselines_run(cfg: RunConfig) -> dict:
             "steps": len(history),
             "final_loss": history[-1].loss_c if history else None,
             "artifacts": {"checkpoint.json": _sha256(ckpt)},
+            "splits_sha256": _splits_sha256(cfg),
             "duration_seconds": time.time() - started,
         }
         _write_record(run_dir, record)
@@ -456,10 +485,20 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
     checkpoint_path = Path(checkpoint_path)
     if not checkpoint_path.exists():
         raise PipelineError(f"checkpoint not found: {checkpoint_path}")
+    record = checkpoint_path.parent / "record.json"
+    if record.exists():
+        trained_on = _read_json(record).get("splits_sha256")
+        if trained_on is not None and trained_on != _splits_sha256(cfg):
+            raise PipelineError(f"{checkpoint_path} was trained on other prepared splits than "
+                                f"those under {cfg.prepared_dir}; train it again")
     models, _ = load_checkpoint(checkpoint_path)
     if "classifier" not in models:
         raise PipelineError(f"{checkpoint_path} holds no classifier")
-    preds = models["classifier"].predict(test.windows)
+    classifier = models["classifier"]
+    if classifier.spec.input_dim != test.dim:
+        raise PipelineError(f"{checkpoint_path} takes {classifier.spec.input_dim}-dimensional "
+                            f"windows, but the prepared splits have dimension {test.dim}")
+    preds = classifier.predict(test.windows)
     rep = ev.report(ev.confusion(test.labels, preds, test.num_classes),
                     class_names=test.label_names)
     run_dir = checkpoint_path.parent

@@ -155,15 +155,17 @@ def save_recordings_csv(recordings, path, schema: CsvSchema = CsvSchema()) -> No
             raise PipelineError(f"{len(channel_cols)} channel columns for {channels} channels")
     else:
         channel_cols = [f"ch{i}" for i in range(channels)]
+    marker = schema.missing_marker
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([schema.subject_column, schema.label_column, *channel_cols])
         for rec in recordings:
             if rec.num_channels != channels:
                 raise PipelineError("recordings disagree on channel count")
-            for frame, label in zip(rec.frames, rec.labels):
-                cells = [schema.missing_marker if np.isnan(v) else repr(float(v)) for v in frame]
-                writer.writerow([rec.subject_id, rec.label_names[label], *cells])
+            names = rec.label_names
+            # csv writes a Python float as its repr; v != v holds only for NaN
+            writer.writerows([rec.subject_id, names[label], *(marker if v != v else v for v in frame)]
+                             for frame, label in zip(rec.frames.tolist(), rec.labels.tolist()))
 
 
 def impute_missing(rec: RawRecording) -> RawRecording:
@@ -397,32 +399,44 @@ class PcaModel:
 
 def fit_pca(windows: np.ndarray, output_dim: int | None = None,
             fraction: float | None = None) -> PcaModel:
-    """Fit on a pooled [rows, d] matrix; keep output_dim (or round(fraction * d)) components."""
+    """Fit on a pooled [rows, d] matrix; keep output_dim (or round(fraction * d)) components.
+
+    The components are the leading eigenvectors of the d x d scatter matrix of
+    the centred windows. That costs O(rows * d^2 + d^3), against O(rows * d *
+    min(rows, d)) for an SVD of the windows themselves, so it only loses when
+    there are fewer pooled windows than dimensions.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[0] < 2:
         raise PipelineError(f"need at least 2 pooled windows, got shape {windows.shape}")
-    d = windows.shape[1]
+    rows, d = windows.shape
     if (output_dim is None) == (fraction is None):
         raise PipelineError("give exactly one of output_dim or fraction")
     if fraction is not None:
         if not (0.0 < fraction <= 1.0):
             raise PipelineError(f"fraction must lie in (0, 1], got {fraction}")
         output_dim = max(1, half_up(fraction * d))
-    if not (1 <= output_dim <= d):
-        raise PipelineError(f"output_dim must lie in [1, {d}], got {output_dim}")
+    bound = min(rows, d)
+    if not (1 <= output_dim <= bound):
+        raise PipelineError(f"output_dim must lie in [1, {bound}] for {rows} pooled windows "
+                            f"of dimension {d}, got {output_dim}")
     mean = windows.mean(axis=0)
     centered = windows - mean
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    variances = (s * s) / (windows.shape[0] - 1)
-    total = variances.sum()
+    scatter = centered.T @ centered
+    del centered                                          # free it before eigh's workspace
+    total = np.trace(scatter)
     if total <= 0.0:
         raise PipelineError("pooled windows have zero variance; nothing to decompose")
-    components = vt[:output_dim]
+    eigenvalues, eigenvectors = np.linalg.eigh(scatter)   # ascending
+    # rank-deficient data can leave tiny negative eigenvalues
+    leading = np.clip(eigenvalues[::-1][:output_dim], 0.0, None)
+    components = eigenvectors[:, ::-1][:, :output_dim].T
     # deterministic sign: largest-magnitude entry of each component is positive
     flip = np.sign(components[np.arange(output_dim), np.argmax(np.abs(components), axis=1)])
     flip = np.where(flip == 0, 1.0, flip)
     components = components * flip[:, None]
-    return PcaModel(mean, components, variances[:output_dim] / total)
+    # a variance is a sum of squares over rows - 1; the divisor cancels in the share
+    return PcaModel(mean, components, leading / total)
 
 
 def apply_pca(model: PcaModel, ds: DomainDataset) -> DomainDataset:

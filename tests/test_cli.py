@@ -145,3 +145,65 @@ def test_damaged_checkpoint_is_a_data_error(workspace, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(ckpt) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _one_data_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
+def test_more_pca_components_than_pooled_windows_is_a_data_error(workspace, capsys):
+    config_path, _ = workspace
+    # 3 windows per class and subject: 8 pooled training windows of dimension 40
+    code = main(["prepare", "--config", str(config_path),
+                 "--set", "data.synthetic.frames=20", "--set", "data.synthetic.class_counts=[3,3]",
+                 "--set", "preprocessing.pca_dim=20"])
+    assert code == EXIT_DATA
+    assert "[1, 8]" in _one_data_error(capsys)
+
+
+def test_evaluate_after_prepare_with_other_pca_dim_is_a_data_error(workspace, capsys):
+    config_path, out_dir = workspace
+    assert main(["prepare", "--config", str(config_path), "--set", "preprocessing.pca_dim=6"]) == EXIT_OK
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    assert main(["prepare", "--config", str(config_path), "--set", "preprocessing.pca_dim=5"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path)]) == EXIT_DATA
+    assert "other prepared splits" in _one_data_error(capsys)
+    # without a record beside it, the checkpoint's input dimension still gives it away
+    lone = out_dir / "elsewhere" / "checkpoint.json"
+    lone.parent.mkdir()
+    lone.write_bytes((out_dir / "adapted" / "checkpoint.json").read_bytes())
+    assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(lone)]) == EXIT_DATA
+    assert "dimension 5" in _one_data_error(capsys)
+
+
+def test_evaluate_after_prepare_with_other_seed_is_a_data_error(workspace, capsys):
+    config_path, out_dir = workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    assert main(["baselines", "--config", str(config_path)]) == EXIT_OK
+    record = json.loads((out_dir / "supervised" / "record.json").read_text())
+    meta = json.loads((out_dir / "prepared" / "prepare.json").read_text())
+    assert record["splits_sha256"] == meta["splits_sha256"]
+    assert "splits_sha256" not in (out_dir / "supervised" / "checkpoint.json").read_text()
+    assert main(["prepare", "--config", str(config_path), "--set", "seed=6"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path), "--run", "supervised"]) == EXIT_DATA
+    assert "other prepared splits" in _one_data_error(capsys)
+    # preparing the original splits again makes the run scorable again
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    assert main(["evaluate", "--config", str(config_path), "--run", "supervised"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("damaged", ["adapted/record.json", "prepared/prepare.json"])
+def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, damaged):
+    config_path, out_dir = workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    path = out_dir / damaged
+    path.write_text(path.read_text()[:20])
+    assert main(["evaluate", "--config", str(config_path)]) == EXIT_DATA
+    assert str(path) in _one_data_error(capsys)

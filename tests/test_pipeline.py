@@ -1,4 +1,6 @@
 """Data pipeline: ingestion, imputation, scaling, windowing, PCA, splits, synthesis."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,21 @@ def test_csv_round_trip_preserves_values_exactly(tmp_path):
     assert np.array_equal(back.frames, rec.frames, equal_nan=True)  # repr round trip
     assert np.array_equal(back.labels, rec.labels)
     assert back.label_names == rec.label_names
+
+
+def test_csv_writer_bytes_are_pinned(tmp_path):
+    frames = np.array([[0.1, -2.5, 3.0],
+                       [np.nan, 1e-17, 12345.678],
+                       [2.0 / 3.0, -0.0, 7.0]])
+    schema = CsvSchema(subject_column="who", label_column="activity",
+                       channel_columns=("acc_x", "acc_y", "acc_z"), missing_marker="NA")
+    recs = [RawRecording("alice", frames, [0, 1, 1], 10.0, ("sit", "walk")),
+            RawRecording("bob", frames[::-1] * -3.0, [1, 0, 0], 10.0, ("sit", "walk"))]
+    path = tmp_path / "pinned.csv"
+    save_recordings_csv(recs, path, schema)
+    assert path.read_text().splitlines()[2] == "alice,walk,NA,1e-17,12345.678"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "87ec9199e0d7de1cd91f592ddb685e4b2b8bbe992f930fdd2712640bf4056986"
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +339,49 @@ def test_pca_validation():
     model = fit_pca(data, output_dim=2)
     with pytest.raises(PipelineError):
         model.transform(np.zeros((3, 5)))
+
+
+def test_pca_output_dim_is_bounded_by_pooled_windows():
+    data = np.random.default_rng(30).normal(size=(5, 10))
+    with pytest.raises(PipelineError, match=r"\[1, 5\]"):
+        fit_pca(data, output_dim=8)
+    with pytest.raises(PipelineError, match=r"\[1, 5\]"):
+        fit_pca(data, fraction=0.8)
+    assert fit_pca(data, output_dim=5).output_dim == 5
+
+
+def _svd_reference(data, output_dim):
+    """Components (up to sign) and variance ratios from a thin SVD of the centred data."""
+    _, s, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+    return vt[:output_dim], (s * s)[:output_dim] / np.sum(s * s)
+
+
+@pytest.mark.parametrize("rows, dims, rank, output_dim", [
+    pytest.param(2000, 300, None, 50, id="tall"),
+    pytest.param(600, 500, None, 50, id="near-square"),
+    # every component: the null space's eigenvalues come out of eigh as +-1e-12
+    pytest.param(200, 60, 10, 60, id="rank-10"),
+])
+def test_pca_matches_svd_reference(rows, dims, rank, output_dim):
+    rng = np.random.default_rng(rows + dims)
+    if rank is None:
+        # a decaying spectrum keeps the leading variances apart, so each component is defined
+        data = rng.normal(size=(rows, dims)) * 0.95 ** np.arange(dims) + rng.normal(size=dims)
+        compared = output_dim
+    else:
+        data = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, dims))
+        compared = rank   # beyond the rank, any orthonormal basis of the null space will do
+    model = fit_pca(data, output_dim=output_dim)
+    ref_components, ref_ratios = _svd_reference(data, output_dim)
+    assert model.components.shape == (output_dim, dims)
+    assert np.allclose(model.components @ model.components.T, np.eye(output_dim),
+                       rtol=0.0, atol=1e-12)
+    ours, ref = model.components[:compared], ref_components[:compared]
+    signs = np.sign(np.sum(ours * ref, axis=1))
+    assert np.max(np.abs(ours - signs[:, None] * ref)) <= 1e-10
+    assert np.max(np.abs(model.explained_variance_ratio - ref_ratios)) <= 1e-12
+    assert np.all(model.explained_variance_ratio >= 0.0)
+    assert model.explained_variance_ratio.sum() <= 1.0 + 1e-12
 
 
 def test_pca_serialization_round_trip(tmp_path):
