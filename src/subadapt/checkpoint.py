@@ -7,6 +7,7 @@ parameter bit for bit.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +18,12 @@ from .networks import (Classifier, ClassifierSpec, Discriminator, DiscriminatorS
 FORMAT_NAME = "subadapt-checkpoint"
 FORMAT_VERSION = 1
 
-_SPEC_FIELDS = {
-    "generator": ("input_dim", "blocks", "filters", "noise_dim", "seed"),
-    "discriminator": ("input_dim", "base_filters", "seed"),
-    "classifier": ("input_dim", "num_classes", "base_filters", "seed"),
-}
 _BUILDERS = {
     "generator": (GeneratorSpec, Generator),
     "discriminator": (DiscriminatorSpec, Discriminator),
     "classifier": (ClassifierSpec, Classifier),
 }
+_SPEC_FIELDS = {kind: tuple(f.name for f in fields(spec)) for kind, (spec, _) in _BUILDERS.items()}
 
 
 class CheckpointError(ValueError):

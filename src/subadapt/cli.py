@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -144,11 +143,8 @@ def main(argv=None) -> int:
     except DivergedError as e:
         print(f"training diverged: {e}", file=sys.stderr)
         if e.checkpoint is not None:
-            rescue = cfg.run_dir("adapted") / "diverged_parameters.json"
-            rescue.parent.mkdir(parents=True, exist_ok=True)
-            rescue.write_text(json.dumps(
-                {name: arr.tolist() for name, arr in e.checkpoint.items()}) + "\n")
-            print(f"last healthy parameters saved to {rescue}", file=sys.stderr)
+            print(f"last healthy parameters saved to "
+                  f"{cfg.run_dir('adapted') / harness.RESCUE_NAME}", file=sys.stderr)
         return EXIT_DIVERGED
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,31 +34,16 @@ from .pipeline import (CsvSchema, DomainDataset, PipelineError, RawRecording, Sp
                        fit_pca, generate_synthetic_pair, impute_missing, load_recordings,
                        rotation_mixing, save_recordings_csv, segment_windows, split_domain)
 from .sampler import compute_micro_size
-from .trainer import TrainerConfig, train, train_classifier
+from .trainer import DivergedError, TrainerConfig, train, train_classifier
 
 SPLIT_NAMES = ("source_train", "source_val", "source_test",
                "target_train", "target_val", "target_test")
 RUN_NAMES = ("no_transfer", "adapted", "supervised")
+RESCUE_NAME = "diverged_parameters.json"   # bundle checkpoint of the last healthy parameters
 
 
 class ConfigError(ValueError):
     pass
-
-
-_REQUIRED = object()
-
-
-def _take(section: dict, key: str, default=_REQUIRED, where: str = ""):
-    if key in section:
-        return section.pop(key)
-    if default is _REQUIRED:
-        raise ConfigError(f"missing required key {key!r} in {where or 'config'}")
-    return default
-
-
-def _no_extras(section: dict, where: str) -> None:
-    if section:
-        raise ConfigError(f"unknown keys in {where}: {sorted(section)}")
 
 
 @dataclass
@@ -67,12 +52,28 @@ class CsvDataConfig:
     sample_rate: float
     source_subject: str
     target_subject: str
-    schema: CsvSchema
     window_seconds: float
-    overlap: float
-    normalization: str          # "declared" or "fitted"
-    declared_low: float
-    declared_high: float
+    schema: CsvSchema = CsvSchema()
+    overlap: float = 0.7
+    normalization: str = "declared"     # or "fitted"
+    declared_low: float = 0.0
+    declared_high: float = 1.0
+
+    def __post_init__(self):
+        if self.normalization not in ("declared", "fitted"):
+            raise ValueError(f"normalization must be 'declared' or 'fitted', "
+                             f"got {self.normalization!r}")
+
+
+@dataclass
+class PreprocessingConfig:
+    pca_dim: int | None = None          # give one of pca_dim and pca_fraction, or neither
+    pca_fraction: float | None = None   # to skip PCA
+    split: SplitSpec = SplitSpec()
+
+    def __post_init__(self):
+        if self.pca_dim is not None and self.pca_fraction is not None:
+            raise ValueError("give pca_dim or pca_fraction, not both")
 
 
 @dataclass
@@ -83,6 +84,28 @@ class NetworkConfig:
     discriminator_filters: int = 8
     noise_dim: int = 16
 
+    def __post_init__(self):
+        self.specs(input_dim=1, num_classes=2, seed=0)   # the specs' own range checks
+
+    def specs(self, input_dim: int, num_classes: int, seed: int):
+        return (GeneratorSpec(input_dim, blocks=self.blocks, filters=self.generator_filters,
+                              noise_dim=self.noise_dim, seed=seed),
+                DiscriminatorSpec(input_dim, base_filters=self.discriminator_filters, seed=seed),
+                ClassifierSpec(input_dim, num_classes=num_classes,
+                               base_filters=self.classifier_filters, seed=seed))
+
+
+@dataclass
+class _TopLevel:
+    """The top level of a config file; resolve_config reads each section in turn."""
+    output_dir: str
+    data: dict
+    seed: int = 0
+    preprocessing: PreprocessingConfig = field(default_factory=PreprocessingConfig)
+    networks: NetworkConfig = field(default_factory=NetworkConfig)
+    sampler: dict = field(default_factory=dict)
+    trainer: dict = field(default_factory=dict)
+
 
 @dataclass
 class RunConfig:
@@ -91,9 +114,7 @@ class RunConfig:
     data_kind: str              # "synthetic" or "csv"
     synth: SynthSpec | None
     csv: CsvDataConfig | None
-    pca_dim: int | None
-    pca_fraction: float | None
-    split: SplitSpec
+    preprocessing: PreprocessingConfig
     networks: NetworkConfig
     trainer: TrainerConfig
     raw: dict                   # resolved snapshot for records
@@ -106,137 +127,107 @@ class RunConfig:
         return self.output_dir / name
 
 
-def _resolve_synth(section: dict, default_seed: int) -> SynthSpec:
-    where = "data.synthetic"
-    num_classes = int(_take(section, "num_classes", where=where))
-    channels = int(_take(section, "channels", where=where))
-    frames = int(_take(section, "frames", where=where))
-    counts = tuple(int(c) for c in _take(section, "class_counts", where=where))
-    rotation = _take(section, "rotation_degrees", None, where)
-    mixing = _take(section, "mixing", None, where)
-    if rotation is not None and mixing is not None:
+_TYPES = {   # field annotation -> (what a config value must be, its JSON type, converter)
+    "int": ("an integer", object, int),
+    "float": ("a number", object, float),
+    "str": ("a string", object, str),
+    "bool": ("true or false", bool, bool),
+    "dict": ("an object", dict, dict),
+    "tuple": ("a list", list, tuple),
+    "tuple[int, ...]": ("a list of integers", list, lambda v: tuple(int(c) for c in v)),
+    "np.ndarray": ("a list of numbers", list, lambda v: np.asarray(v, dtype=np.float64)),
+    "float | np.ndarray": ("a number or a list of numbers", object,
+                           lambda v: np.asarray(v, dtype=np.float64) if isinstance(v, list)
+                           else float(v)),
+}
+_NESTED = {cls.__name__: cls for cls in (CsvSchema, SplitSpec, PreprocessingConfig,
+                                           NetworkConfig)}
+
+
+def _coerce(value, kind: str, where: str):
+    """A config value as the field annotation `kind` says; ConfigError naming `where`."""
+    if kind.endswith(" | None"):
+        if value is None:
+            return None
+        kind = kind[:-len(" | None")]
+    if kind in _NESTED:
+        return _build(_NESTED[kind], value, where)
+    what, json_type, convert = _TYPES[kind]
+    try:
+        if not isinstance(value, json_type):
+            raise TypeError(value)
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be {what}, got {json.dumps(value)}") from None
+
+
+def _build(cls, section, where: str, keys: dict | None = None, **given):
+    """Build dataclass `cls` from the config section `where`.
+
+    `keys` maps each accepted key to its field (default: every field not in `given`,
+    under its own name). A field's dataclass default is its only default. Values are
+    coerced to the field's annotated type; unknown keys, missing required keys and the
+    dataclass's own checks end in a ConfigError.
+    """
+    section = _coerce(section, "dict", where)
+    declared = {f.name: f for f in fields(cls)}
+    keys = keys or {name: name for name in declared if name not in given}
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    for key, name in keys.items():
+        f = declared[name]
+        if key in section:
+            given[name] = _coerce(section[key], f.type,
+                                  key if where == "config" else f"{where}.{key}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+    try:
+        return cls(**given)
+    except ValueError as e:   # the dataclass's own checks, PipelineError among them
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def _resolve_synth(section, seed: int) -> SynthSpec:
+    """The SynthSpec fields; `seed` defaults to the run seed, and `rotation_degrees`
+    stands in for an explicit `mixing` matrix."""
+    section = _coerce(section, "dict", "data.synthetic")   # a copy
+    rotation = _coerce(section.pop("rotation_degrees", None), "float | None",
+                       "data.synthetic.rotation_degrees")
+    if rotation is not None and section.get("mixing") is not None:
         raise ConfigError("give rotation_degrees or mixing, not both")
-    if rotation is not None:
-        mixing = rotation_mixing(channels, float(rotation))
-    elif mixing is not None:
-        mixing = np.asarray(mixing, dtype=np.float64)
-    offset = _take(section, "offset", 0.0, where)
-    offset = np.asarray(offset, dtype=np.float64) if isinstance(offset, list) else float(offset)
-    spec = SynthSpec(
-        num_classes=num_classes, channels=channels, frames=frames, class_counts=counts,
-        mixing=mixing, offset=offset,
-        shift_noise=float(_take(section, "shift_noise", 0.0, where)),
-        sample_noise=float(_take(section, "sample_noise", 0.05, where)),
-        seed=int(_take(section, "seed", default_seed, where)),
-    )
-    _no_extras(section, where)
-    return spec
+    spec = _build(SynthSpec, {"seed": seed, **section}, "data.synthetic")
+    return spec if rotation is None else \
+        replace(spec, mixing=rotation_mixing(spec.channels, rotation))
 
 
-def _resolve_csv(section: dict) -> CsvDataConfig:
-    where = "data.csv"
-    schema_d = dict(_take(section, "schema", {}, where))
-    schema = CsvSchema(
-        subject_column=str(schema_d.pop("subject_column", "subject")),
-        label_column=str(schema_d.pop("label_column", "label")),
-        channel_columns=tuple(schema_d.pop("channel_columns")) if "channel_columns" in schema_d else None,
-        missing_marker=str(schema_d.pop("missing_marker", "NaN")),
-        allowed_labels=tuple(schema_d.pop("allowed_labels")) if "allowed_labels" in schema_d else None,
-    )
-    _no_extras(schema_d, "data.csv.schema")
-    cfg = CsvDataConfig(
-        path=str(_take(section, "path", where=where)),
-        sample_rate=float(_take(section, "sample_rate", where=where)),
-        source_subject=str(_take(section, "source_subject", where=where)),
-        target_subject=str(_take(section, "target_subject", where=where)),
-        schema=schema,
-        window_seconds=float(_take(section, "window_seconds", where=where)),
-        overlap=float(_take(section, "overlap", 0.7, where)),
-        normalization=str(_take(section, "normalization", "declared", where)),
-        declared_low=float(_take(section, "declared_low", 0.0, where)),
-        declared_high=float(_take(section, "declared_high", 1.0, where)),
-    )
-    _no_extras(section, where)
-    if cfg.normalization not in ("declared", "fitted"):
-        raise ConfigError(f"normalization must be 'declared' or 'fitted', got {cfg.normalization!r}")
-    return cfg
+# the sampler section sets these TrainerConfig fields; the trainer section sets the rest
+_SAMPLER_KEYS = {"micro_size": "micro_size", "micro_cap": "micro_cap",
+                 "with_replacement": "with_replacement", "mode": "sampler"}
 
 
 def resolve_config(raw: dict) -> RunConfig:
     """Validate a config dict; unknown keys anywhere are an error."""
     snapshot = json.loads(json.dumps(raw))   # defensive copy, proves JSON-serializable
-    d = dict(raw)
-    seed = int(_take(d, "seed", 0))
-    output_dir = Path(str(_take(d, "output_dir")))
+    top = _build(_TopLevel, raw, "config")
+    data = top.data
+    kind = data.get("kind")
+    if kind not in ("synthetic", "csv"):
+        raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {json.dumps(kind)}")
+    unknown = sorted(set(data) - {"kind", kind})
+    if unknown:
+        raise ConfigError(f"unknown keys in data: {unknown}")
+    if kind not in data:
+        raise ConfigError(f"missing required key {kind!r} in data")
+    synth = _resolve_synth(data[kind], top.seed) if kind == "synthetic" else None
+    csv_cfg = _build(CsvDataConfig, data[kind], "data.csv") if kind == "csv" else None
 
-    data = dict(_take(d, "data"))
-    kind = str(_take(data, "kind", where="data"))
-    synth = csv_cfg = None
-    if kind == "synthetic":
-        synth = _resolve_synth(dict(_take(data, "synthetic", where="data")), seed)
-    elif kind == "csv":
-        csv_cfg = _resolve_csv(dict(_take(data, "csv", where="data")))
-    else:
-        raise ConfigError(f"data.kind must be 'synthetic' or 'csv', got {kind!r}")
-    _no_extras(data, "data")
-
-    prep = dict(_take(d, "preprocessing", {}))
-    pca_dim = _take(prep, "pca_dim", None, "preprocessing")
-    pca_fraction = _take(prep, "pca_fraction", None, "preprocessing")
-    if pca_dim is not None and pca_fraction is not None:
-        raise ConfigError("give pca_dim or pca_fraction, not both")
-    split_d = dict(_take(prep, "split", {}, "preprocessing"))
-    split = SplitSpec(train=float(split_d.pop("train", 0.6)),
-                      val=float(split_d.pop("val", 0.1)),
-                      test=float(split_d.pop("test", 0.3)))
-    _no_extras(split_d, "preprocessing.split")
-    _no_extras(prep, "preprocessing")
-
-    nets = dict(_take(d, "networks", {}))
-    networks = NetworkConfig(
-        blocks=int(_take(nets, "blocks", 2, "networks")),
-        generator_filters=int(_take(nets, "generator_filters", 32, "networks")),
-        classifier_filters=int(_take(nets, "classifier_filters", 16, "networks")),
-        discriminator_filters=int(_take(nets, "discriminator_filters", 8, "networks")),
-        noise_dim=int(_take(nets, "noise_dim", 16, "networks")),
-    )
-    _no_extras(nets, "networks")
-
-    samp = dict(_take(d, "sampler", {}))
-    micro_size = _take(samp, "micro_size", None, "sampler")
-    micro_cap = int(_take(samp, "micro_cap", 32, "sampler"))
-    with_replacement = bool(_take(samp, "with_replacement", False, "sampler"))
-    mode = str(_take(samp, "mode", "micro", "sampler"))
-    _no_extras(samp, "sampler")
-
-    tr = dict(_take(d, "trainer", {}))
-    try:
-        trainer_cfg = TrainerConfig(
-            adversary_weight=float(_take(tr, "adversary_weight", 1.0, "trainer")),
-            classification_weight=float(_take(tr, "classification_weight", 1.0, "trainer")),
-            epochs=int(_take(tr, "epochs", 150, "trainer")),
-            micro_size=None if micro_size is None else int(micro_size),
-            micro_cap=micro_cap,
-            with_replacement=with_replacement,
-            sampler=mode,
-            smoothing_pos=float(_take(tr, "smoothing_pos", 0.9, "trainer")),
-            smoothing_neg=float(_take(tr, "smoothing_neg", 0.0, "trainer")),
-            noise_amplitude=float(_take(tr, "noise_amplitude", 0.1, "trainer")),
-            lr_generator=float(_take(tr, "lr_generator", 1e-3, "trainer")),
-            lr_discriminator=float(_take(tr, "lr_discriminator", 1e-3, "trainer")),
-            lr_classifier=float(_take(tr, "lr_classifier", 1e-3, "trainer")),
-            seed=seed,
-            patience=int(_take(tr, "patience", 25, "trainer")),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    _no_extras(tr, "trainer")
-    _no_extras(d, "config")
-
-    return RunConfig(seed=seed, output_dir=output_dir, data_kind=kind, synth=synth,
-                     csv=csv_cfg, pca_dim=None if pca_dim is None else int(pca_dim),
-                     pca_fraction=None if pca_fraction is None else float(pca_fraction),
-                     split=split, networks=networks, trainer=trainer_cfg, raw=snapshot)
+    sampling = _build(TrainerConfig, top.sampler, "sampler", _SAMPLER_KEYS)
+    trainer_cfg = _build(TrainerConfig, top.trainer, "trainer", seed=top.seed,
+                         **{name: getattr(sampling, name) for name in _SAMPLER_KEYS.values()})
+    return RunConfig(seed=top.seed, output_dir=Path(top.output_dir), data_kind=kind,
+                     synth=synth, csv=csv_cfg, preprocessing=top.preprocessing,
+                     networks=top.networks, trainer=trainer_cfg, raw=snapshot)
 
 
 def apply_overrides(raw: dict, assignments) -> dict:
@@ -295,7 +286,7 @@ def _write_record(directory: Path, payload: dict) -> None:
 
 def _prepare_synthetic(cfg: RunConfig):
     source, target = generate_synthetic_pair(cfg.synth)
-    return split_domain(source, cfg.split) + split_domain(target, cfg.split)
+    return split_domain(source, cfg.preprocessing.split) + split_domain(target, cfg.preprocessing.split)
 
 
 def _prepare_csv(cfg: RunConfig):
@@ -316,7 +307,7 @@ def _prepare_csv(cfg: RunConfig):
         ds = segment_windows(rec, c.window_seconds, c.overlap)
         if len(ds) < 3:
             raise PipelineError(f"subject {subject!r} yields only {len(ds)} windows")
-        datasets.extend(split_domain(ds, cfg.split))
+        datasets.extend(split_domain(ds, cfg.preprocessing.split))
     return tuple(datasets)
 
 
@@ -339,9 +330,9 @@ def prepare_run(cfg: RunConfig) -> dict:
         pooled_train = norm.apply(pooled_train)
         norm.to_json(out / "normalization.json")
 
-    pca = None
-    if cfg.pca_dim is not None or cfg.pca_fraction is not None:
-        pca = fit_pca(pooled_train, output_dim=cfg.pca_dim, fraction=cfg.pca_fraction)
+    pca, prep = None, cfg.preprocessing
+    if prep.pca_dim is not None or prep.pca_fraction is not None:
+        pca = fit_pca(pooled_train, output_dim=prep.pca_dim, fraction=prep.pca_fraction)
         splits = {k: apply_pca(pca, ds) for k, ds in splits.items()}
         pca.to_json(out / "pca.json")
 
@@ -388,17 +379,6 @@ def _splits_sha256(cfg: RunConfig) -> str | None:
 # training commands
 
 
-def _build_bundle(cfg: RunConfig, dim: int, num_classes: int):
-    n = cfg.networks
-    return build_bundle(
-        GeneratorSpec(dim, blocks=n.blocks, filters=n.generator_filters,
-                      noise_dim=n.noise_dim, seed=cfg.seed),
-        DiscriminatorSpec(dim, base_filters=n.discriminator_filters, seed=cfg.seed),
-        ClassifierSpec(dim, num_classes=num_classes, base_filters=n.classifier_filters,
-                       seed=cfg.seed),
-    )
-
-
 def _losses_csv(history) -> str:
     lines = ["step,epoch,loss_d,loss_c,loss_g"]
     for r in history:
@@ -412,10 +392,18 @@ def train_run(cfg: RunConfig) -> dict:
     splits = load_prepared(cfg)
     source = splits["source_train"]
     target = splits["target_train"].unlabeled()   # evaluation labels never reach training
-    bundle = _build_bundle(cfg, source.dim, source.num_classes)
-    _, state = train(bundle, source, target, cfg.trainer)
-
+    bundle = build_bundle(*cfg.networks.specs(source.dim, source.num_classes, cfg.seed))
     run_dir = cfg.run_dir("adapted")
+    try:
+        _, state = train(bundle, source, target, cfg.trainer)
+    except DivergedError as e:
+        if e.checkpoint is not None:
+            for name, p in bundle.parameters().items():
+                p.data = e.checkpoint[name]
+            run_dir.mkdir(parents=True, exist_ok=True)
+            save_bundle(bundle, run_dir / RESCUE_NAME, seed=cfg.seed, step_count=e.checkpoint_step)
+        raise
+
     run_dir.mkdir(parents=True, exist_ok=True)
     ckpt = run_dir / "checkpoint.json"
     save_bundle(bundle, ckpt, seed=cfg.seed, step_count=state.step)
@@ -452,9 +440,7 @@ def baselines_run(cfg: RunConfig) -> dict:
     batch_size = micro * splits["source_train"].num_classes
     for name, data in jobs.items():
         started = time.time()
-        cls = Classifier(ClassifierSpec(data.dim, num_classes=data.num_classes,
-                                        base_filters=cfg.networks.classifier_filters,
-                                        seed=cfg.seed))
+        cls = Classifier(cfg.networks.specs(data.dim, data.num_classes, cfg.seed)[2])
         _, history = train_classifier(cls, data, cfg.trainer, batch_size, label=name)
         run_dir = cfg.run_dir(name)
         run_dir.mkdir(parents=True, exist_ok=True)

@@ -333,18 +333,6 @@ class ModelBundle:
         return params
 
 
-def build_generator(spec: GeneratorSpec) -> Generator:
-    return Generator(spec)
-
-
-def build_discriminator(spec: DiscriminatorSpec) -> Discriminator:
-    return Discriminator(spec)
-
-
-def build_classifier(spec: ClassifierSpec) -> Classifier:
-    return Classifier(spec)
-
-
 def build_bundle(gen_spec: GeneratorSpec, disc_spec: DiscriminatorSpec,
                  cls_spec: ClassifierSpec) -> ModelBundle:
     if len({gen_spec.input_dim, disc_spec.input_dim, cls_spec.input_dim}) != 1:

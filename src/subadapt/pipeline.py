@@ -488,7 +488,7 @@ class SynthSpec:
     num_classes: int
     channels: int
     frames: int
-    class_counts: tuple
+    class_counts: tuple[int, ...]
     mixing: np.ndarray | None = None     # [channels, channels]; None = identity
     offset: float | np.ndarray = 0.0
     shift_noise: float = 0.0             # extra per-frame noise on the target
@@ -507,6 +507,9 @@ class SynthSpec:
             raise PipelineError("class counts must be >= 1")
         if self.shift_noise < 0 or self.sample_noise < 0:
             raise PipelineError("noise amplitudes must be >= 0")
+        if np.ndim(self.offset) and np.shape(self.offset) != (self.channels,):
+            raise PipelineError(f"offset must be a number or {self.channels} per-channel values, "
+                                f"got shape {np.shape(self.offset)}")
         if self.mixing is not None:
             m = np.asarray(self.mixing, dtype=np.float64)
             if m.shape != (self.channels, self.channels):

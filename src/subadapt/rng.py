@@ -41,6 +41,3 @@ class RandomSource:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)

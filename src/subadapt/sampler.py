@@ -39,20 +39,6 @@ class TrainingBatch:
     def __len__(self) -> int:
         return self.source_x.shape[0]
 
-    def _block(self, j: int) -> slice:
-        if self.micro_size is None:
-            raise SamplerError("not a class-blocked batch")
-        if not (0 <= j < self.num_classes):
-            raise SamplerError(f"class {j} outside [0, {self.num_classes})")
-        return slice(j * self.micro_size, (j + 1) * self.micro_size)
-
-    def source_block(self, j: int):
-        s = self._block(j)
-        return self.source_x[s], self.source_y[s]
-
-    def target_block(self, j: int) -> np.ndarray:
-        return self.target_x[self._block(j)]
-
 
 def compute_micro_size(source: DomainDataset, cap: int = 32) -> int:
     """Micro-block size m: the smallest per-class sample count, capped."""
@@ -167,16 +153,6 @@ class EpochPlan:
             micro_size=m,
             num_classes=self.num_classes,
         )
-
-
-def build_epoch_plan(source: DomainDataset, target: DomainDataset, micro_size: int,
-                     seed: int, epoch: int = 0, with_replacement: bool = False) -> EpochPlan:
-    return EpochPlan(source, target, micro_size, seed, epoch, with_replacement)
-
-
-def next_minibatch(plan: EpochPlan) -> TrainingBatch:
-    """Pop the next batch; raises StopIteration at end of epoch."""
-    return next(plan)
 
 
 class PlainEpochPlan:

@@ -2,8 +2,8 @@
 
 Operations executed while a Tape is active are appended to it in execution
 order, which is already a topological order of the computation graph.
-backward() walks the recorded operations once in reverse and accumulates
-gradients for every tensor marked requires_grad. Everything is float64;
+backward() walks the recorded operations once in reverse and returns the
+gradient of every tensor marked requires_grad. Everything is float64;
 no other dtype is ever created.
 
 The op set is intentionally closed: exactly what the three networks and
@@ -36,12 +36,11 @@ def _tape_stack() -> list:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple:
@@ -59,9 +58,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Constant copy; gradients never flow through the result."""
         return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -93,15 +89,14 @@ def as_tensor(value) -> Tensor:
 
 
 class TapeOp:
-    """One recorded operation: inputs, output, a pure recompute fn, a gradient fn."""
+    """One recorded operation: inputs, output and a gradient fn."""
 
-    __slots__ = ("name", "inputs", "output", "forward_fn", "grad_fn", "needs")
+    __slots__ = ("name", "inputs", "output", "grad_fn", "needs")
 
-    def __init__(self, name, inputs, output, forward_fn, grad_fn, needs):
+    def __init__(self, name, inputs, output, grad_fn, needs):
         self.name = name
         self.inputs = inputs
         self.output = output
-        self.forward_fn = forward_fn
         self.grad_fn = grad_fn
         self.needs = needs
 
@@ -126,21 +121,6 @@ class Tape:
         stack = _tape_stack()
         return stack[-1] if stack else None
 
-    def replay(self, verify: bool = True) -> bool:
-        """Recompute every op from current leaf data, in recorded order.
-
-        With verify=True, demands bit-for-bit equality with the recorded
-        outputs (the inputs must not have been mutated since recording).
-        """
-        values: dict[int, np.ndarray] = {}
-        for op in self.ops:
-            args = [values.get(id(t), t.data) for t in op.inputs]
-            out = op.forward_fn(*args)
-            if verify and not np.array_equal(out, op.output.data):
-                return False
-            values[id(op.output)] = out
-        return True
-
 
 class paused:
     """Context manager suspending recording (used for constant side computations)."""
@@ -153,21 +133,21 @@ class paused:
         _tape_stack().pop()
 
 
-def _record(name, output: Tensor, inputs: tuple, forward_fn, grad_fn) -> None:
+def _record(name, output: Tensor, inputs: tuple, grad_fn) -> None:
     tape = Tape.current()
     if tape is None:
         return
     needs = tuple(t.requires_grad or id(t) in tape._tracked for t in inputs)
     if any(needs):
         tape._tracked.add(id(output))
-    tape.ops.append(TapeOp(name, inputs, output, forward_fn, grad_fn, needs))
+    tape.ops.append(TapeOp(name, inputs, output, grad_fn, needs))
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:
-    """Accumulate d(loss)/d(tensor) into .grad for every requires_grad tensor on the tape.
+    """{tensor: d(loss)/d(tensor)} for every requires_grad tensor on the tape.
 
     Tensors recorded on the tape but unreachable from the loss get zero
-    gradients. Returns {tensor: gradient array} for the requires_grad set.
+    gradients.
     """
     if loss.data.size != 1:
         raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -192,14 +172,8 @@ def backward(tape: Tape, loss: Tensor) -> dict:
                 else:
                     grad = np.broadcast_to(grad, tens.data.shape).astype(np.float64, copy=True) \
                         if grad.shape != tens.data.shape else grad
-                tens.grad = grad if tens.grad is None else tens.grad + grad
                 result[tens] = grad
     return result
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -225,7 +199,7 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, sa) if needs[0] else None,
                 _unbroadcast(g, sb) if needs[1] else None)
 
-    _record("add", out, (a, b), lambda x, y: x + y, grad)
+    _record("add", out, (a, b), grad)
     return out
 
 
@@ -238,7 +212,7 @@ def sub(a, b) -> Tensor:
         return (_unbroadcast(g, sa) if needs[0] else None,
                 _unbroadcast(-g, sb) if needs[1] else None)
 
-    _record("sub", out, (a, b), lambda x, y: x - y, grad)
+    _record("sub", out, (a, b), grad)
     return out
 
 
@@ -251,7 +225,7 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * db, da.shape) if needs[0] else None,
                 _unbroadcast(g * da, db.shape) if needs[1] else None)
 
-    _record("mul", out, (a, b), lambda x, y: x * y, grad)
+    _record("mul", out, (a, b), grad)
     return out
 
 
@@ -263,7 +237,7 @@ def square(a) -> Tensor:
     def grad(g, needs):
         return (2.0 * da * g,)
 
-    _record("square", out, (a,), lambda x: x * x, grad)
+    _record("square", out, (a,), grad)
     return out
 
 
@@ -277,7 +251,7 @@ def log_clamped(a, floor: float = 1e-12) -> Tensor:
     def grad(g, needs):
         return (np.where(da >= floor, g / np.maximum(da, floor), 0.0),)
 
-    _record("log_clamped", out, (a,), lambda x: np.log(np.maximum(x, floor)), grad)
+    _record("log_clamped", out, (a,), grad)
     return out
 
 
@@ -293,7 +267,7 @@ def sum_all(a) -> Tensor:
     def grad(g, needs):
         return (np.full(shape, float(g.reshape(()))),)
 
-    _record("sum_all", out, (a,), lambda x: np.asarray(x.sum()), grad)
+    _record("sum_all", out, (a,), grad)
     return out
 
 
@@ -307,7 +281,7 @@ def mean_all(a) -> Tensor:
     def grad(g, needs):
         return (np.full(shape, float(g.reshape(())) / size),)
 
-    _record("mean_all", out, (a,), lambda x: np.asarray(x.mean()), grad)
+    _record("mean_all", out, (a,), grad)
     return out
 
 
@@ -323,7 +297,7 @@ def relu(a) -> Tensor:
     def grad(g, needs):
         return (g * (da > 0.0),)
 
-    _record("relu", out, (a,), lambda x: np.maximum(x, 0.0), grad)
+    _record("relu", out, (a,), grad)
     return out
 
 
@@ -335,7 +309,7 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     def grad(g, needs):
         return (g * np.where(da > 0.0, 1.0, slope),)
 
-    _record("leaky_relu", out, (a,), lambda x: np.where(x > 0.0, x, slope * x), grad)
+    _record("leaky_relu", out, (a,), grad)
     return out
 
 
@@ -347,27 +321,22 @@ def tanh(a) -> Tensor:
     def grad(g, needs):
         return (g * (1.0 - y * y),)
 
-    _record("tanh", out, (a,), np.tanh, grad)
+    _record("tanh", out, (a,), grad)
     return out
-
-
-def _softmax_raw(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis; rows sum to 1 within 1e-12."""
     a = as_tensor(a)
-    y = _softmax_raw(a.data)
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def grad(g, needs):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    _record("softmax", out, (a,), _softmax_raw, grad)
+    _record("softmax", out, (a,), grad)
     return out
 
 
@@ -384,7 +353,7 @@ def reshape(a, shape) -> Tensor:
     def grad(g, needs):
         return (g.reshape(orig),)
 
-    _record("reshape", out, (a,), lambda x: x.reshape(shape), grad)
+    _record("reshape", out, (a,), grad)
     return out
 
 
@@ -398,7 +367,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         pieces = np.split(g, cuts, axis=axis)
         return tuple(p if need else None for p, need in zip(pieces, needs))
 
-    _record("concat", out, tensors, lambda *xs: np.concatenate(xs, axis=axis), grad)
+    _record("concat", out, tensors, grad)
     return out
 
 
@@ -416,7 +385,7 @@ def repeat_to_length(a, length: int) -> Tensor:
         np.add.at(d, (..., idx), g)
         return (d,)
 
-    _record("repeat_to_length", out, (a,), lambda x: x[..., idx], grad)
+    _record("repeat_to_length", out, (a,), grad)
     return out
 
 
@@ -439,7 +408,7 @@ def pick(a, indices) -> Tensor:
         d[rows, idx] = g
         return (d,)
 
-    _record("pick", out, (a,), lambda x: x[rows, idx], grad)
+    _record("pick", out, (a,), grad)
     return out
 
 
@@ -525,12 +494,8 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same") -> Ten
             d_b = gb.sum(axis=(0, 2))
         return (d_x, d_k) if bias is None else (d_x, d_k, d_b)
 
-    def fwd(xv, kv, bv=None):
-        r = _conv1d_raw(_pad(xv[None] if unbatched else xv, pl, pr), kv, bv, stride)
-        return r[0] if unbatched else r
-
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    _record("conv1d", out, inputs, fwd, grad)
+    _record("conv1d", out, inputs, grad)
     return out
 
 
@@ -548,23 +513,19 @@ def dense(x, weights, bias=None) -> Tensor:
     if bias is not None and bias.data.shape != (m,):
         raise ShapeError(f"dense bias must have shape ({m},), got {bias.data.shape}")
 
-    def fwd(xv, wv, bv=None):
-        r = (xv[None] if unbatched else xv) @ wv.T
-        r = r if bv is None else r + bv
-        return r[0] if unbatched else r
-
-    out = Tensor(fwd(x.data, weights.data, None if bias is None else bias.data))
-    xd_saved, wd = xd, weights.data
+    wd = weights.data
+    out_data = xd @ wd.T if bias is None else xd @ wd.T + bias.data
+    out = Tensor(out_data[0] if unbatched else out_data)
 
     def grad(g, needs):
         gb = g[None] if unbatched else g
         d_x = (gb @ wd) if needs[0] else None
         if d_x is not None and unbatched:
             d_x = d_x[0]
-        d_w = (gb.T @ xd_saved) if needs[1] else None
+        d_w = (gb.T @ xd) if needs[1] else None
         d_b = gb.sum(axis=0) if bias is not None and needs[2] else None
         return (d_x, d_w) if bias is None else (d_x, d_w, d_b)
 
     inputs = (x, weights) if bias is None else (x, weights, bias)
-    _record("dense", out, inputs, fwd, grad)
+    _record("dense", out, inputs, grad)
     return out

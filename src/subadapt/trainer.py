@@ -23,19 +23,22 @@ from .optim import OptimizerState, optimizer_step
 from .pipeline import DomainDataset
 from .rng import RandomSource
 from .sampler import (EpochPlan, PlainEpochPlan, TrainingBatch, compute_micro_size)
-from .tensor import Tape, Tensor, backward, paused, zero_grads
+from .tensor import Tape, Tensor, backward, paused
 
 PLATEAU_DELTA = 1e-3
 
 
 class DivergedError(RuntimeError):
-    """A loss went non-finite; carries the last parameter snapshot that was healthy."""
+    """A loss went non-finite; carries the last parameter snapshot that was healthy and
+    the number of steps taken when it was taken."""
 
-    def __init__(self, component: str, step: int, checkpoint: dict | None):
+    def __init__(self, component: str, step: int, checkpoint: dict | None,
+                 checkpoint_step: int = 0):
         super().__init__(f"training diverged in the {component} loss at step {step}")
         self.component = component
         self.step = step
         self.checkpoint = checkpoint
+        self.checkpoint_step = checkpoint_step
 
 
 @dataclass
@@ -104,6 +107,7 @@ class TrainState:
     mean_discrepancy: list = field(default_factory=list)
     stop_reason: str = ""
     last_good: dict | None = None
+    last_good_step: int = 0
 
 
 def make_state(cfg: TrainerConfig) -> TrainState:
@@ -182,20 +186,14 @@ def _snapshot(bundle: ModelBundle) -> dict:
     return {name: p.data.copy() for name, p in bundle.parameters().items()}
 
 
-def _grads_of(params: dict) -> dict:
-    return {name: p.grad if p.grad is not None else np.zeros_like(p.data)
-            for name, p in params.items()}
-
-
 def _check_finite(loss: Tensor, component: str, state: TrainState) -> None:
     if not np.isfinite(loss.data).all():
-        raise DivergedError(component, state.step + 1, state.last_good)
+        raise DivergedError(component, state.step + 1, state.last_good, state.last_good_step)
 
 
 def train_step(bundle: ModelBundle, batch: TrainingBatch, cfg: TrainerConfig,
                state: TrainState) -> StepRecord:
     """One critic -> classifier -> generator update on a single batch."""
-    all_params = list(bundle.parameters().values())
     params_d = bundle.discriminator.parameters()
     params_c = bundle.classifier.parameters()
     params_g = bundle.generator.parameters()
@@ -204,24 +202,21 @@ def train_step(bundle: ModelBundle, batch: TrainingBatch, cfg: TrainerConfig,
         loss_d = discriminator_loss(bundle.discriminator, bundle.generator, batch, cfg,
                                     state.rng, state.noise_scale)
     _check_finite(loss_d, "discriminator", state)
-    zero_grads(all_params)
-    backward(tape, loss_d)
-    optimizer_step(params_d, _grads_of(params_d), state.opt_discriminator)
+    grads = backward(tape, loss_d)
+    optimizer_step(params_d, {n: grads[p] for n, p in params_d.items()}, state.opt_discriminator)
 
     with Tape() as tape:
         loss_c = classifier_loss(bundle.classifier, bundle.generator, batch, cfg, state.rng)
     _check_finite(loss_c, "classifier", state)
-    zero_grads(all_params)
-    backward(tape, loss_c)
-    optimizer_step(params_c, _grads_of(params_c), state.opt_classifier)
+    grads = backward(tape, loss_c)
+    optimizer_step(params_c, {n: grads[p] for n, p in params_c.items()}, state.opt_classifier)
 
     with Tape() as tape:
         loss_g = generator_loss(bundle.generator, bundle.discriminator, bundle.classifier,
                                 batch, cfg, state.rng, state.noise_scale)
     _check_finite(loss_g, "generator", state)
-    zero_grads(all_params)
-    backward(tape, loss_g)
-    optimizer_step(params_g, _grads_of(params_g), state.opt_generator)
+    grads = backward(tape, loss_g)
+    optimizer_step(params_g, {n: grads[p] for n, p in params_g.items()}, state.opt_generator)
 
     state.step += 1
     rec = StepRecord(state.step, state.epoch, loss_d.item(), loss_c.item(), loss_g.item())
@@ -290,7 +285,7 @@ def train(bundle: ModelBundle, source: DomainDataset, target: DomainDataset,
             rec = train_step(bundle, batch, cfg, state)
             losses_g.append(rec.loss_g)
         state.mean_discrepancy.append(_mean_discrepancy(bundle, source, target, cfg, epoch))
-        state.last_good = _snapshot(bundle)
+        state.last_good, state.last_good_step = _snapshot(bundle), state.step
         epoch_means.append(float(np.mean(losses_g)))
         if _plateaued(epoch_means, cfg.patience):
             state.stop_reason = f"plateau after epoch {epoch + 1}"
@@ -325,9 +320,8 @@ def train_classifier(classifier: Classifier, data: DomainDataset, cfg: TrainerCo
                 loss = _cross_entropy(probs, data.labels[idx])
             if not np.isfinite(loss.data).all():
                 raise DivergedError("classifier", step + 1, None)
-            zero_grads(params.values())
-            backward(tape, loss)
-            optimizer_step(params, _grads_of(params), opt)
+            grads = backward(tape, loss)
+            optimizer_step(params, {n: grads[p] for n, p in params.items()}, opt)
             step += 1
             history.append(StepRecord(step, epoch, 0.0, loss.item(), 0.0))
             losses.append(loss.item())

@@ -4,7 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from subadapt.checkpoint import load_checkpoint
 from subadapt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
+from subadapt.harness import load_config, train_run
+from subadapt.trainer import DivergedError
 
 
 @pytest.fixture
@@ -112,18 +115,25 @@ def test_divergence_exit_code_and_rescue_file(workspace, capsys):
     config_path, out_dir = workspace
     assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
     capsys.readouterr()
+    overrides = ["trainer.lr_generator=1e80", "trainer.lr_discriminator=1e80",
+                 "trainer.lr_classifier=1e80"]
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--config", str(config_path),
-                     "--set", "trainer.lr_generator=1e80",
-                     "--set", "trainer.lr_discriminator=1e80",
-                     "--set", "trainer.lr_classifier=1e80"])
+                     *(arg for item in overrides for arg in ("--set", item))])
     assert code == EXIT_DIVERGED
     err = capsys.readouterr().err
     assert "training diverged" in err
     rescue = out_dir / "adapted" / "diverged_parameters.json"
-    assert rescue.exists()
-    saved = json.loads(rescue.read_text())
-    assert all(np.isfinite(np.asarray(v)).all() for v in saved.values())
+    models, meta = load_checkpoint(rescue)
+    # the same run in-process hands back the snapshot the rescue was written from
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergedError) as info:
+        train_run(load_config(config_path, overrides))
+    snapshot = info.value.checkpoint
+    assert meta["step_count"] == info.value.checkpoint_step
+    saved = {f"{net_name}.{name}": p.data for net_name, net in models.items()
+             for name, p in net.parameters().items()}
+    assert saved.keys() == snapshot.keys()
+    assert all(saved[name].tobytes() == snapshot[name].tobytes() for name in snapshot)
 
 
 def test_report_with_nothing_to_show(workspace, capsys):
@@ -207,3 +217,31 @@ def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, d
     path.write_text(path.read_text()[:20])
     assert main(["evaluate", "--config", str(config_path)]) == EXIT_DATA
     assert str(path) in _one_data_error(capsys)
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("prepare", ['networks.blocks="abc"']),
+    ("prepare", ['seed="x"']),
+    ("prepare", ['preprocessing.pca_dim="x"']),
+    ("prepare", ['preprocessing.split={"train": 0.5, "val": 0.1, "test": 0.1}']),
+    ("prepare", ["data.synthetic.num_classes=4", "data.synthetic.class_counts=[1,2]"]),
+    ("prepare", ["data.synthetic.sample_noise=-1"]),
+    ("prepare", ["data.synthetic.offset=[0.1, 0.2, 0.3]"]),
+    ("prepare", ["networks=3"]),
+    ("prepare", ['sampler.with_replacement="false"']),
+    ("train", ["networks.blocks=0"]),
+    ("baselines", ["networks.classifier_filters=2"]),
+], ids=["blocks-abc", "seed-x", "pca_dim-x", "split-sum", "class_counts", "sample_noise",
+        "offset-shape", "networks-3", "with_replacement-string", "train-blocks-0",
+        "baselines-classifier_filters-2"])
+def test_malformed_config_values_are_one_line_config_errors(workspace, capsys, command,
+                                                            overrides):
+    config_path, _ = workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    code = main([command, "--config", str(config_path),
+                 *(arg for item in overrides for arg in ("--set", item))])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1

@@ -1,14 +1,19 @@
 """Run orchestration: config strictness, prepared layout, end-to-end artifacts."""
 import hashlib
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subadapt import harness
 from subadapt.harness import (ConfigError, apply_overrides, baselines_run, evaluate_run,
                               load_config, load_prepared, prepare_run, resolve_config,
                               synth_run, train_run)
-from subadapt.pipeline import CsvSchema, PipelineError, load_recordings, segment_windows
+from subadapt.pipeline import (CsvSchema, PipelineError, SynthSpec, load_recordings,
+                               segment_windows)
+from subadapt.trainer import TrainerConfig
 
 
 def base_config(out_dir, **extra):
@@ -44,7 +49,7 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert cfg.trainer.noise_amplitude == 0.1
     assert cfg.trainer.seed == 3          # trainer inherits the run seed
     assert cfg.networks.noise_dim == 2
-    assert cfg.split.train == 0.6
+    assert cfg.preprocessing.split.train == 0.6
     assert cfg.synth.num_classes == 2
     assert cfg.prepared_dir == tmp_path / "prepared"
 
@@ -96,6 +101,38 @@ def test_trainer_value_errors_become_config_errors(tmp_path):
     cfg["trainer"]["smoothing_pos"] = 1.5
     with pytest.raises(ConfigError, match="smoothing_pos"):
         resolve_config(cfg)
+
+
+def _keys(cls, prefix, skip=()):
+    """Dotted config keys of a dataclass's fields, nested sections walked."""
+    for f in fields(cls):
+        nested = harness._NESTED.get(f.type.removesuffix(" | None"))
+        if f.name in skip:
+            continue
+        if nested is not None:
+            yield from _keys(nested, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def accepted_keys():
+    sampler_fields = tuple(harness._SAMPLER_KEYS.values())
+    return {*_keys(harness._TopLevel, "", skip=("data", "sampler", "trainer")),
+            "data.kind", "data.synthetic.rotation_degrees",
+            *_keys(SynthSpec, "data.synthetic."), *_keys(harness.CsvDataConfig, "data.csv."),
+            *(f"sampler.{key}" for key in harness._SAMPLER_KEYS),
+            *_keys(TrainerConfig, "trainer.", skip=("seed", *sampler_fields))}
+
+
+def test_readme_configuration_reference_lists_every_accepted_key():
+    keys = accepted_keys()
+    assert {"seed", "data.synthetic.seed", "data.csv.schema.missing_marker", "sampler.mode",
+            "preprocessing.split.train", "trainer.smoothing_neg"} <= keys
+    assert not {"trainer.seed", "trainer.micro_cap", "sampler.sampler"} & keys
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    missing = sorted(key for key in keys if f"`{key}`" not in section)
+    assert not missing, f"README configuration reference omits {missing}"
 
 
 def test_apply_overrides_parses_json_values():

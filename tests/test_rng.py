@@ -41,8 +41,3 @@ def test_uniform_range_and_normal_moments():
     z = RandomSource(1, "gauss").normal(100_000)
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
-
-
-def test_integers_bounds():
-    vals = RandomSource(2, "ints").integers(3, 9, shape=1000)
-    assert vals.min() >= 3 and vals.max() < 9

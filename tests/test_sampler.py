@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from subadapt.pipeline import DomainDataset
-from subadapt.sampler import (EpochPlan, PlainEpochPlan, SamplerError, TrainingBatch,
-                              build_epoch_plan, compute_micro_size, next_minibatch)
+from subadapt.sampler import EpochPlan, PlainEpochPlan, SamplerError, compute_micro_size
 
 
 def labeled(counts, dim=4, seed=0):
@@ -40,21 +39,6 @@ def test_each_batch_holds_exactly_m_per_class():
         # rows are ordered class-block by class-block
         assert np.array_equal(batch.source_y, np.repeat([0, 1, 2], 3))
         assert batch.target_x.shape == (9, 4)
-
-
-def test_class_blocks_slice_the_right_rows():
-    src, tgt = labeled([6, 6, 6]), unlabeled(20)
-    batch = next_minibatch(EpochPlan(src, tgt, micro_size=2, seed=0))
-    xs, ys = batch.source_block(1)
-    assert np.all(ys == 1)
-    assert xs.shape == (2, 4)
-    assert batch.target_block(2).shape == (2, 4)
-    with pytest.raises(SamplerError):
-        batch.source_block(3)
-    plain = TrainingBatch(batch.source_x, batch.source_y, batch.target_x,
-                          batch.source_indices, batch.target_indices)
-    with pytest.raises(SamplerError):
-        plain.source_block(0)
 
 
 def test_no_source_index_repeats_within_an_epoch():
@@ -110,13 +94,6 @@ def test_plan_validation():
         EpochPlan(src, unlabeled(5, dim=3), 2, seed=0)
     with pytest.raises(SamplerError, match="no samples"):
         EpochPlan(DomainDataset("s", np.zeros((4, 4)), [0, 0, 1, 1], 3), tgt, 1, seed=0)
-
-
-def test_build_epoch_plan_is_the_public_constructor():
-    src, tgt = labeled([6, 6]), unlabeled(6)
-    plan = build_epoch_plan(src, tgt, micro_size=2, seed=1)
-    assert plan.num_batches == 3
-    assert isinstance(next_minibatch(plan), TrainingBatch)
 
 
 def test_plain_plan_matches_size_and_count_without_balancing():

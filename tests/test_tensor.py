@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import subadapt.tensor as T
-from subadapt.tensor import Tensor, Tape, paused, backward, zero_grads, ShapeError, GraphError
+from subadapt.tensor import Tensor, Tape, paused, backward, ShapeError, GraphError
 
 from conftest import numeric_gradient, gradients_close
 
@@ -422,16 +422,14 @@ def test_backward_requires_scalar_loss():
         backward(tape, y)
 
 
-def test_backward_accumulates_across_calls_and_zero_grads_resets():
+def test_backward_accumulates_within_a_call_and_repeats_across_calls():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        loss = T.sum_all(T.square(x))
-    backward(tape, loss)
-    first = x.grad.copy()
-    backward(tape, loss)
-    assert np.array_equal(x.grad, 2 * first)
-    zero_grads([x])
-    assert x.grad is None
+        loss = T.sum_all(T.add(T.square(x), x))   # x reaches the loss along two paths
+    first = backward(tape, loss)
+    assert np.array_equal(first[x], np.full(3, 3.0))
+    second = backward(tape, loss)                 # no state carried between calls
+    assert np.array_equal(second[x], first[x])
 
 
 def test_unreachable_parameter_gets_zero_gradient():
@@ -462,24 +460,6 @@ def test_paused_suppresses_recording():
     assert len(tape.ops) == 1  # the pause recorded nothing
     grads = backward(tape, loss)
     assert np.array_equal(grads[x], np.ones(3))
-
-
-def test_replay_is_bit_exact():
-    rng = np.random.default_rng(20)
-    x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
-    k = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
-    with Tape() as tape:
-        h = T.leaky_relu(T.conv1d(x, k))
-        T.mean_all(T.square(h))
-    assert tape.replay(verify=True)
-
-
-def test_replay_detects_mutated_leaves():
-    x = Tensor(np.ones(4), requires_grad=True)
-    with Tape() as tape:
-        T.sum_all(T.square(x))
-    x.data[0] = 2.0
-    assert not tape.replay(verify=True)
 
 
 def test_no_tape_means_no_recording():
