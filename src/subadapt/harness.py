@@ -127,14 +127,21 @@ class RunConfig:
         return self.output_dir / name
 
 
+def _whole(value) -> int:
+    """An integer key's value: a boolean or a number with a fractional part is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 _TYPES = {   # field annotation -> (what a config value must be, its JSON type, converter)
-    "int": ("an integer", object, int),
+    "int": ("an integer", object, _whole),
     "float": ("a number", object, float),
     "str": ("a string", object, str),
     "bool": ("true or false", bool, bool),
     "dict": ("an object", dict, dict),
     "tuple": ("a list", list, tuple),
-    "tuple[int, ...]": ("a list of integers", list, lambda v: tuple(int(c) for c in v)),
+    "tuple[int, ...]": ("a list of integers", list, lambda v: tuple(_whole(c) for c in v)),
     "np.ndarray": ("a list of numbers", list, lambda v: np.asarray(v, dtype=np.float64)),
     "float | np.ndarray": ("a number or a list of numbers", object,
                            lambda v: np.asarray(v, dtype=np.float64) if isinstance(v, list)

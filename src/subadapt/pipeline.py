@@ -538,17 +538,24 @@ def rotation_mixing(channels: int, degrees: float) -> np.ndarray:
 
 
 def _interleave_classes(counts) -> np.ndarray:
-    """Deterministic proportional order, so every contiguous slice stays near-stratified."""
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    emitted = np.zeros(len(counts), dtype=np.int64)
+    """Deterministic proportional order, so every contiguous slice stays near-stratified.
+
+    Each step emits the class furthest behind its share (the first on a tie),
+    skipping classes that are used up.
+    """
+    counts = [int(c) for c in counts]
+    total = sum(counts)
+    share = [c / total for c in counts]
+    emitted = [0] * len(counts)
     order = np.empty(total, dtype=np.int64)
-    share = counts / total
     for i in range(total):
-        deficit = share * (i + 1) - emitted
-        deficit[emitted >= counts] = -np.inf
-        order[i] = int(np.argmax(deficit))
-        emitted[order[i]] += 1
+        best, most = -1, -math.inf
+        for c, n in enumerate(counts):
+            deficit = share[c] * (i + 1) - emitted[c]
+            if emitted[c] < n and deficit > most:
+                best, most = c, deficit
+        emitted[best] += 1
+        order[i] = best
     return order
 
 
@@ -564,6 +571,9 @@ def _prototypes(spec: SynthSpec, rng: RandomSource) -> np.ndarray:
     return protos
 
 
+_NOISE_BLOCK_BYTES = 1 << 19   # noise per block: 64 KiB-1 MiB time alike, 4 MiB is slower
+
+
 def generate_synthetic_pair(spec: SynthSpec):
     """Build matched source/target datasets differing only by the declared subject shift.
 
@@ -577,18 +587,25 @@ def generate_synthetic_pair(spec: SynthSpec):
     mixing = spec.mixing if spec.mixing is not None else np.eye(spec.channels)
     offset = np.broadcast_to(np.asarray(spec.offset, dtype=np.float64), (spec.channels,))
 
-    source = np.empty((n, spec.window_dim))
-    target = np.empty((n, spec.window_dim))
-    for i, c in enumerate(order):
-        s_frames = protos[c] + spec.sample_noise * rng.normal((spec.frames, spec.channels))
-        t_frames = protos[c] + spec.sample_noise * rng.normal((spec.frames, spec.channels))
-        t_frames = t_frames @ mixing.T + offset[None, :]
+    # Per window the stream yields source noise, target noise, then shift noise,
+    # so one draw per block of windows reads it exactly as one draw per window would.
+    draws = 3 if spec.shift_noise > 0 else 2
+    block = max(1, _NOISE_BLOCK_BYTES // (draws * spec.window_dim * 8))
+    source = np.empty((n, spec.frames, spec.channels))
+    target = np.empty((n, spec.frames, spec.channels))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        noise = rng.normal((hi - lo, draws, spec.frames, spec.channels))
+        protos_here = protos[order[lo:hi]]
+        source[lo:hi] = protos_here + spec.sample_noise * noise[:, 0]
+        # a stacked [frames, channels] product per window: flattening it to one
+        # 2-D product changes the last bits
+        t_frames = (protos_here + spec.sample_noise * noise[:, 1]) @ mixing.T + offset
         if spec.shift_noise > 0:
-            t_frames = t_frames + spec.shift_noise * rng.normal((spec.frames, spec.channels))
-        source[i] = s_frames.reshape(-1)
-        target[i] = t_frames.reshape(-1)
+            t_frames = t_frames + spec.shift_noise * noise[:, 2]
+        target[lo:hi] = t_frames
 
     label_names = tuple(f"c{i}" for i in range(spec.num_classes))
-    labels = order.copy()
-    return (DomainDataset("source", source, labels, spec.num_classes, label_names),
-            DomainDataset("target", target, labels.copy(), spec.num_classes, label_names))
+    return (DomainDataset("source", source.reshape(n, -1), order, spec.num_classes, label_names),
+            DomainDataset("target", target.reshape(n, -1), order.copy(), spec.num_classes,
+                          label_names))

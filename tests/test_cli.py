@@ -245,3 +245,29 @@ def test_malformed_config_values_are_one_line_config_errors(workspace, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("overrides,key", [
+    (["trainer.epochs=1.5"], "trainer.epochs"),
+    (["networks.blocks=true"], "networks.blocks"),
+    (["seed=2.9"], "seed"),
+    (["data.synthetic.num_classes=4", "data.synthetic.class_counts=[300.7,300,300,60]"],
+     "data.synthetic.class_counts"),
+], ids=["epochs-1.5", "blocks-true", "seed-2.9", "class_counts-300.7"])
+def test_integer_keys_refuse_fractions_and_booleans(workspace, capsys, overrides, key):
+    config_path, out_dir = workspace
+    code = main(["prepare", "--config", str(config_path),
+                 *(arg for item in overrides for arg in ("--set", item))])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out_dir / "prepared").exists()
+
+
+def test_integer_keys_take_whole_numbers_written_as_floats(workspace):
+    config_path, _ = workspace
+    cfg = load_config(config_path, ["trainer.epochs=3.0", "seed=4.0",
+                                    "data.synthetic.class_counts=[12.0, 12]"])
+    assert (cfg.trainer.epochs, cfg.seed, cfg.synth.class_counts) == (3, 4, (12, 12))
+    assert type(cfg.trainer.epochs) is int

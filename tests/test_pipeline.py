@@ -1,5 +1,6 @@
 """Data pipeline: ingestion, imputation, scaling, windowing, PCA, splits, synthesis."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -522,6 +523,99 @@ def test_interleave_keeps_every_prefix_near_stratified():
     for k in (10, 24, 48, 80):
         seen = np.bincount(order[:k], minlength=4)
         assert np.all(np.abs(seen - share * k) <= 1.0), k
+
+
+def _interleave_reference(counts) -> np.ndarray:
+    """The numpy-argmax form of the proportional order, kept as the reference."""
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    emitted = np.zeros(len(counts), dtype=np.int64)
+    order = np.empty(total, dtype=np.int64)
+    share = counts / total
+    for i in range(total):
+        deficit = share * (i + 1) - emitted
+        deficit[emitted >= counts] = -np.inf
+        order[i] = int(np.argmax(deficit))
+        emitted[order[i]] += 1
+    return order
+
+
+def _interleave_cases():
+    rng = np.random.default_rng(5)
+    cases = [(300, 300, 300, 60), (3000, 3000, 3000, 600), (1, 1), (1, 7, 7, 1), (5, 5, 5)]
+    for k in range(40):
+        counts = rng.integers(1, 60, size=2 + k % 6)
+        counts[rng.integers(len(counts))] = 1               # a class of one window
+        if k % 3 == 0:
+            counts[-1] = counts[0]                          # a tie in count
+        cases.append(tuple(int(c) for c in counts))
+    return cases
+
+
+@pytest.mark.parametrize("counts", _interleave_cases(), ids=str)
+def test_interleave_matches_the_argmax_reference(counts):
+    order = _interleave_classes(counts)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, _interleave_reference(counts))
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# sha256 of the source windows, target windows and labels (float64 / int64 bytes),
+# computed with the one-window-at-a-time generator that the block draw replaced
+_PINNED_SYNTHETIC = {
+    "blocks": (
+        dict(num_classes=4, channels=40, frames=25, class_counts=(300, 300, 300, 60),
+             mixing=rotation_mixing(40, 30.0), offset=0.5, shift_noise=0.05,
+             sample_noise=0.3, seed=7),
+        "f878ea391aef8adae04effe8baadffd1109138a369d5f57c28805a56e639a8b0",
+        "83d9e8404c4dfb356ab688656436a37aeb95659963a025c76228057f9e8e3a8b",
+        "c09c3201e01b6dea7cae2bfa910022ffdcb618b8df04fc540783ad7602081af1"),
+    "identity-no-shift": (
+        dict(num_classes=3, channels=3, frames=7, class_counts=(5, 9, 4), seed=11),
+        "91b9d01df052065eb57c8e821031b2893445c46701b5c5567d2ffacc68d582c0",
+        "aee6f4292824d0960a37edf6256f567c1f3db01155bd69a124c4164edc9244c8",
+        "75699e853c317ae75507b6058189ef937604ee19f15f7d0033b03996ec0e6217"),
+    "one-channel": (
+        dict(num_classes=3, channels=1, frames=16, class_counts=(6, 6, 2),
+             mixing=np.array([[0.8]]), offset=np.array([0.25]), shift_noise=0.1,
+             sample_noise=0.2, seed=4),
+        "a9ed9a90437d667f6bc06069be880244989d7cfb3990a61b094399ecaa183533",
+        "12a581485f6143c79b11fe549384d69311b021accd54af772055bdf8b2a4d8fa",
+        "d11fb66849858ae80824af1b1e2b21d6b04bae84efcf39bdeaa94495a8c2ec90"),
+    "odd-rotation": (
+        dict(num_classes=3, channels=5, frames=9, class_counts=(7, 3, 11),
+             mixing=rotation_mixing(5, 45.0), offset=np.array([0.1, -0.2, 0.3, 0.0, 1.5]),
+             shift_noise=0.1, sample_noise=0.3, seed=9),
+        "bc4211410cd32f94e3b347619f044c9ee955de832e1083d276a84df1de2712ef",
+        "974c344b5c4957fb2d3387edf67321e2ae352a65d2dc96fcdce1ec6d13c62cad",
+        "abb1fe4eb98c654df054b201f131b4b14375e16a745d17dbdb163cd2cadb0a4c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_SYNTHETIC))
+def test_synthetic_pair_bytes_are_pinned(case):
+    fields, source_sha, target_sha, labels_sha = _PINNED_SYNTHETIC[case]
+    src, tgt = generate_synthetic_pair(SynthSpec(**fields))
+    assert src.windows.flags.c_contiguous and tgt.windows.flags.c_contiguous
+    assert (_digest(src.windows), _digest(tgt.windows), _digest(src.labels)) == \
+        (source_sha, target_sha, labels_sha)
+    assert np.array_equal(tgt.labels, src.labels) and tgt.labels is not src.labels
+
+
+def test_synthetic_generation_memory_stays_near_its_outputs():
+    spec = SynthSpec(num_classes=4, channels=8, frames=25, class_counts=(3000, 3000, 3000, 600),
+                     mixing=rotation_mixing(8, 30.0), offset=0.5, shift_noise=0.05,
+                     sample_noise=0.3, seed=3)
+    tracemalloc.start()
+    try:
+        src, tgt = generate_synthetic_pair(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= src.windows.nbytes + tgt.windows.nbytes + 8 * 2**20
 
 
 def test_synthetic_split_stays_stratified():
