@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -127,25 +128,40 @@ class RunConfig:
         return self.output_dir / name
 
 
+def _number(value):
+    """A numeric key's value: a finite JSON number; a string or a boolean is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
 def _whole(value) -> int:
-    """An integer key's value: a boolean or a number with a fractional part is refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer key's value: a number with a fractional part is refused too."""
+    if isinstance(_number(value), float) and not value.is_integer():
         raise ValueError(value)
     return int(value)
 
 
+def _numbers(value) -> np.ndarray:
+    """A (nested) list of finite JSON numbers as a float64 array."""
+    def check(v):
+        for c in v:
+            check(c) if isinstance(c, list) else _number(c)
+    check(value)
+    return np.asarray(value, dtype=np.float64)
+
+
 _TYPES = {   # field annotation -> (what a config value must be, its JSON type, converter)
     "int": ("an integer", object, _whole),
-    "float": ("a number", object, float),
+    "float": ("a finite number", object, lambda v: float(_number(v))),
     "str": ("a string", object, str),
     "bool": ("true or false", bool, bool),
     "dict": ("an object", dict, dict),
     "tuple": ("a list", list, tuple),
     "tuple[int, ...]": ("a list of integers", list, lambda v: tuple(_whole(c) for c in v)),
-    "np.ndarray": ("a list of numbers", list, lambda v: np.asarray(v, dtype=np.float64)),
-    "float | np.ndarray": ("a number or a list of numbers", object,
-                           lambda v: np.asarray(v, dtype=np.float64) if isinstance(v, list)
-                           else float(v)),
+    "np.ndarray": ("a list of finite numbers", list, _numbers),
+    "float | np.ndarray": ("a finite number or a list of finite numbers", object,
+                           lambda v: _numbers(v) if isinstance(v, list) else float(_number(v))),
 }
 _NESTED = {cls.__name__: cls for cls in (CsvSchema, SplitSpec, PreprocessingConfig,
                                            NetworkConfig)}
@@ -164,7 +180,7 @@ def _coerce(value, kind: str, where: str):
         if not isinstance(value, json_type):
             raise TypeError(value)
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be {what}, got {json.dumps(value)}") from None
 
 

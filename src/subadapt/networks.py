@@ -99,10 +99,6 @@ def _weight_limit(fan_in: int, fan_out: int, activation: str) -> float:
 def _activate(t: Tensor, kind: str) -> Tensor:
     if kind == "linear":
         return t
-    if kind == "relu":
-        return T.relu(t)
-    if kind == "leaky_relu":
-        return T.leaky_relu(t, LEAKY_SLOPE)
     if kind == "tanh":
         return T.tanh(t)
     if kind == "softmax":
@@ -125,8 +121,8 @@ class ConvLayer:
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def __call__(self, t: Tensor) -> Tensor:
-        return _activate(T.conv1d(t, self.kernels, self.bias, stride=1, padding="same"),
-                         self.activation)
+        return T.conv1d(t, self.kernels, self.bias, stride=1, padding="same",
+                        activation=self.activation, slope=LEAKY_SLOPE)
 
     def descriptor(self) -> dict:
         return {"type": "conv1d", "name": self.name, "in_channels": self.in_channels,

@@ -13,8 +13,6 @@ reshape/concat/pick/detach).
 """
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 
@@ -26,13 +24,7 @@ class GraphError(ValueError):
     """Differentiation request violates the tape contract (e.g. non-scalar loss)."""
 
 
-_STACK = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_STACK, "stack"):
-        _STACK.stack = []
-    return _STACK.stack
+_TAPES: list = []   # active tapes, innermost last; None while recording is paused
 
 
 class Tensor:
@@ -102,35 +94,34 @@ class TapeOp:
 
 
 class Tape:
-    """Ordered record of operations; one tape is active per thread at a time."""
+    """Ordered record of operations; the innermost entered tape is the active one."""
 
     def __init__(self):
         self.ops: list[TapeOp] = []
         self._tracked: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
 
     @staticmethod
     def current() -> "Tape | None":
-        stack = _tape_stack()
-        return stack[-1] if stack else None
+        return _TAPES[-1] if _TAPES else None
 
 
 class paused:
     """Context manager suspending recording (used for constant side computations)."""
 
     def __enter__(self):
-        _tape_stack().append(None)
+        _TAPES.append(None)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _TAPES.pop()
 
 
 def _record(name, output: Tensor, inputs: tuple, grad_fn) -> None:
@@ -428,7 +419,11 @@ def _pad_amounts(length: int, kernel: int, stride: int, padding: str) -> tuple[i
 
 
 def _pad(x, pad_left, pad_right):
-    return x if pad_left == pad_right == 0 else np.pad(x, ((0, 0), (0, 0), (pad_left, pad_right)))
+    if pad_left == pad_right == 0:
+        return x
+    xp = np.zeros(x.shape[:2] + (pad_left + x.shape[2] + pad_right,))
+    xp[:, :, pad_left:pad_left + x.shape[2]] = x
+    return xp
 
 
 def _conv1d_raw(xp, k, b, stride):
@@ -438,20 +433,25 @@ def _conv1d_raw(xp, k, b, stride):
     out_len = (xp.shape[2] - kernel) // stride + 1
     span = stride * (out_len - 1) + 1
     out = np.matmul(k[:, :, 0], xp[:, :, :span:stride])
+    tmp = np.empty_like(out)
     for j in range(1, kernel):
-        out += np.matmul(k[:, :, j], xp[:, :, j:j + span:stride])
+        out += np.matmul(k[:, :, j], xp[:, :, j:j + span:stride], out=tmp)
     if b is not None:
-        out += b[None, :, None]
+        out += b[:, None]
     return out
 
 
-def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same") -> Tensor:
-    """1-D cross-correlation over [batch, channels_in, length] input.
+def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
+           activation: str = "linear", slope: float = 0.2) -> Tensor:
+    """1-D cross-correlation over [batch, channels_in, length] input, then an activation.
 
     Accepts an unbatched [channels_in, length] input and returns the
     matching unbatched output. Output length follows the usual
-    floor((padded - k) / stride) + 1 rule. Forward, input gradient and
-    kernel gradient are each one GEMM per kernel tap.
+    floor((padded - k) / stride) + 1 rule. `activation` is "linear",
+    "relu" or "leaky_relu" (negative slope `slope`, in [0, 1]); the result
+    equals conv1d followed by relu()/leaky_relu() bit for bit, recorded as
+    one tape op. Forward, input gradient and kernel gradient are each one
+    GEMM per kernel tap.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     bias = as_tensor(bias) if bias is not None else None
@@ -465,6 +465,10 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same") -> Ten
         raise ShapeError(f"kernel input channels {kernels.data.shape[1]} do not match input channels {xd.shape[1]}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if activation not in ("linear", "relu", "leaky_relu"):
+        raise ValueError(f"conv1d activation must be 'linear', 'relu' or 'leaky_relu', got {activation!r}")
+    if activation == "leaky_relu" and not 0.0 <= slope <= 1.0:
+        raise ValueError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     n_out, n_in, kernel = kernels.data.shape
     if bias is not None and bias.data.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {bias.data.shape}")
@@ -475,16 +479,26 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same") -> Ten
 
     xp, kd = _pad(xd, pl, pr), kernels.data
     out_data = _conv1d_raw(xp, kd, None if bias is None else bias.data, stride)
+    # in place, and equal to relu()/leaky_relu(): for a slope in [0, 1], max(z, slope*z)
+    # is z where z > 0 and slope*z elsewhere, NaN included
+    if activation == "relu":
+        np.maximum(out_data, 0.0, out=out_data)
+    elif activation == "leaky_relu":
+        np.maximum(out_data, slope * out_data, out=out_data)
     out = Tensor(out_data[0] if unbatched else out_data)
     span = stride * (out_data.shape[2] - 1) + 1
 
     def grad(g, needs):
         gb = g[None] if unbatched else g
+        if activation != "linear":
+            mask = out_data > 0.0   # the output is > 0 exactly where the pre-activation is
+            gb = gb * mask if activation == "relu" else np.where(mask, gb, slope * gb)
         d_x = d_k = d_b = None
         if needs[0]:
             dxp = np.zeros(xp.shape)
+            tmp = np.empty(out_data.shape[:1] + (n_in, out_data.shape[2]))
             for j in range(kernel):
-                dxp[:, :, j:j + span:stride] += np.matmul(kd[:, :, j].T, gb)
+                dxp[:, :, j:j + span:stride] += np.matmul(kd[:, :, j].T, gb, out=tmp)
             d_x = dxp[0, :, pl:pl + length] if unbatched else dxp[:, :, pl:pl + length]
         if needs[1]:
             d_k = np.empty(kd.shape)

@@ -265,6 +265,29 @@ def test_integer_keys_refuse_fractions_and_booleans(workspace, capsys, overrides
     assert not (out_dir / "prepared").exists()
 
 
+@pytest.mark.parametrize("override,key", [
+    ('seed="3"', "seed"),
+    ('trainer.lr_classifier="1e-2"', "trainer.lr_classifier"),
+    ('networks.blocks=" 2 "', "networks.blocks"),
+    ("trainer.lr_classifier=NaN", "trainer.lr_classifier"),
+    ("data.synthetic.sample_noise=NaN", "data.synthetic.sample_noise"),
+    ("trainer.noise_amplitude=Infinity", "trainer.noise_amplitude"),
+    ('data.synthetic.offset=[0.3, "0.3"]', "data.synthetic.offset"),
+    ("data.synthetic.offset=[0.3, -Infinity]", "data.synthetic.offset"),
+    ('data.synthetic.class_counts=[12, "12"]', "data.synthetic.class_counts"),
+], ids=["seed-string", "lr-string", "blocks-string", "lr-nan", "sample_noise-nan",
+        "noise_amplitude-inf", "offset-string-entry", "offset-inf-entry",
+        "class_counts-string-entry"])
+def test_numeric_keys_take_only_finite_json_numbers(workspace, capsys, override, key):
+    config_path, out_dir = workspace
+    code = main(["prepare", "--config", str(config_path), "--set", override])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out_dir / "prepared").exists()
+
+
 def test_integer_keys_take_whole_numbers_written_as_floats(workspace):
     config_path, _ = workspace
     cfg = load_config(config_path, ["trainer.epochs=3.0", "seed=4.0",

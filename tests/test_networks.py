@@ -6,10 +6,10 @@ import pytest
 
 from subadapt.checkpoint import (CheckpointError, load_bundle, load_checkpoint, save_bundle,
                                  save_checkpoint)
-from subadapt.networks import (Classifier, ClassifierSpec, Discriminator, DiscriminatorSpec,
-                               Generator, GeneratorSpec, ModelBundle, build_bundle,
-                               parameter_count)
-from subadapt.tensor import ShapeError
+from subadapt.networks import (Classifier, ClassifierSpec, ConvLayer, Discriminator,
+                               DiscriminatorSpec, Generator, GeneratorSpec, ModelBundle,
+                               build_bundle, parameter_count)
+from subadapt.tensor import ShapeError, Tape, Tensor
 
 
 def small_specs(dim=10, classes=3, seed=0):
@@ -106,6 +106,20 @@ def test_forward_shapes_batched_and_single():
     assert bundle.discriminator.forward(x[0]).shape == ()
     assert bundle.classifier.forward(x).shape == (5, 3)
     assert bundle.classifier.forward(x[0]).shape == (3,)
+
+
+def test_each_conv_layer_call_is_one_tape_op():
+    bundle = build_bundle(*small_specs())
+    rng = np.random.default_rng(5)
+    activations = set()
+    for net in (bundle.generator, bundle.discriminator, bundle.classifier):
+        for layer in (l for l in (*net.layers, net.output_layer) if isinstance(l, ConvLayer)):
+            with Tape() as tape:
+                out = layer(Tensor(rng.normal(size=(4, layer.in_channels, 10))))
+            assert [op.name for op in tape.ops] == ["conv1d"], layer.name
+            assert tape.ops[0].output is out and out.shape == (4, layer.out_channels, 10)
+            activations.add(layer.activation)
+    assert activations == {"relu", "leaky_relu", "linear"}
 
 
 def test_discriminator_output_is_bounded_by_tanh():

@@ -179,6 +179,10 @@ def test_conv1d_shape_errors():
         T.conv1d(x, Tensor(np.zeros((1, 2, 3))), stride=0)
     with pytest.raises(ValueError):
         T.conv1d(x, Tensor(np.zeros((1, 2, 3))), padding="reflect")
+    with pytest.raises(ValueError):
+        T.conv1d(x, Tensor(np.zeros((1, 2, 3))), activation="tanh")
+    with pytest.raises(ValueError):
+        T.conv1d(x, Tensor(np.zeros((1, 2, 3))), activation="leaky_relu", slope=1.5)
 
 
 def test_dense_golden_and_shape_errors():
@@ -378,6 +382,63 @@ def test_conv1d_unbatched_gradient():
     x = Tensor(rng.normal(size=(2, 9)), requires_grad=True)
     k = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
     fd_check(lambda: T.mean_all(T.square(T.conv1d(x, k))), x, k)
+
+
+def _conv_then_activation(x, k, b, stride, padding, activation, fused, probe):
+    """Output and (x, k, b) gradients of the fused op, or of conv1d then relu()/leaky_relu()."""
+    with Tape() as tape:
+        if fused:
+            out = T.conv1d(x, k, b, stride=stride, padding=padding, activation=activation, slope=0.2)
+        else:
+            z = T.conv1d(x, k, b, stride=stride, padding=padding)
+            out = T.relu(z) if activation == "relu" else T.leaky_relu(z, 0.2)
+        loss = T.sum_all(T.mul(out, probe))
+    grads = backward(tape, loss)
+    return out.data, grads[x], grads[k], grads[b]
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_fused_conv1d_activation_is_bit_equal_to_separate_ops(activation, stride, padding,
+                                                               batched):
+    rng = np.random.default_rng(31)
+    shape = (3, 2, 11) if batched else (2, 11)
+    # quarter-integer grids make many pre-activations exactly 0, others negative
+    grid = (Tensor(rng.integers(-2, 3, size=shape) * 0.25, requires_grad=True),
+            Tensor(rng.integers(-2, 3, size=(4, 2, 3)) * 0.5, requires_grad=True),
+            Tensor([0.0, 0.25, -0.25, 0.0], requires_grad=True))
+    normal = (Tensor(rng.normal(size=shape), requires_grad=True),
+              Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True),
+              Tensor(rng.normal(size=4), requires_grad=True))
+    with paused():
+        assert (T.conv1d(*grid, stride=stride, padding=padding).data == 0).any()
+    for x, k, b in (grid, normal):
+        with paused():
+            z = T.conv1d(x, k, b, stride=stride, padding=padding).data
+        assert (z < 0).any() and (z > 0).any()
+        probe = Tensor(rng.normal(size=z.shape))
+        fused = _conv_then_activation(x, k, b, stride, padding, activation, True, probe)
+        separate = _conv_then_activation(x, k, b, stride, padding, activation, False, probe)
+        for got, want in zip(fused, separate):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_fused_conv1d_gradients_by_finite_differences(activation, stride):
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(2, 3, 9)), requires_grad=True)
+    k = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    with paused():
+        z = T.conv1d(x, k, b, stride=stride).data
+    assert np.abs(z).min() > 1e-3 and (z < 0).any()   # away from the kink, both sides of it
+    probe = Tensor(rng.normal(size=z.shape))
+    fd_check(lambda: T.sum_all(T.mul(T.conv1d(x, k, b, stride=stride, activation=activation,
+                                              slope=0.2), probe)), x, k, b)
 
 
 def test_dense_gradients():

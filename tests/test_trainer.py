@@ -9,10 +9,11 @@ from subadapt.networks import (Classifier, ClassifierSpec, DiscriminatorSpec, Ge
 from subadapt.pipeline import DomainDataset, SynthSpec, generate_synthetic_pair
 from subadapt.rng import RandomSource
 from subadapt.sampler import EpochPlan, TrainingBatch
-from subadapt.tensor import Tape, backward
-from subadapt.trainer import (DivergedError, TrainerConfig, _plateaued, classifier_loss,
-                              discriminator_loss, generator_loss, make_state,
-                              optimal_discriminator_value, train, train_classifier, train_step)
+from subadapt.tensor import Tape, backward, paused
+from subadapt.trainer import (_DISCREPANCY_ROWS, DivergedError, TrainerConfig, _mean_discrepancy,
+                              _plateaued, classifier_loss, discriminator_loss, generator_loss,
+                              make_state, optimal_discriminator_value, train, train_classifier,
+                              train_step)
 
 DIM, CLASSES = 8, 3
 
@@ -257,6 +258,23 @@ def test_mean_discrepancy_shrinks_on_an_offset_shift():
                           ClassifierSpec(DIM, num_classes=2, base_filters=8, seed=5))
     _, state = train(bundle, src, tgt.unlabeled(), cfg)
     assert state.mean_discrepancy[-1] < 0.8 * state.mean_discrepancy[0]
+
+
+@pytest.mark.parametrize("noise_dim", [0, 2])
+def test_mean_discrepancy_in_blocks_equals_one_whole_batch_forward(noise_dim):
+    n = 2 * _DISCREPANCY_ROWS + 37   # two full blocks and a partial last one
+    src, tgt = tiny_domains(n, seed=6)
+    bundle = build_bundle(GeneratorSpec(DIM, blocks=1, filters=4, noise_dim=noise_dim),
+                          DiscriminatorSpec(DIM, base_filters=2),
+                          ClassifierSpec(DIM, num_classes=CLASSES, base_filters=8))
+    rng = np.random.default_rng(6)
+    for p in bundle.generator.parameters().values():   # off the identity start
+        p.data[...] = rng.normal(size=p.shape)
+    z = RandomSource(6, "discrepancy", 3).normal((n, noise_dim)) if noise_dim else None
+    with paused():
+        fakes = bundle.generator.forward(src.windows, z).data
+    whole = float(np.linalg.norm(fakes.mean(axis=0) - tgt.windows.mean(axis=0)))
+    assert _mean_discrepancy(bundle, src, tgt, TrainerConfig(seed=6), 3) == whole
 
 
 def test_divergence_raises_with_recovery_snapshot():
