@@ -18,23 +18,13 @@ from .networks import (Classifier, ClassifierSpec, Discriminator, DiscriminatorS
 FORMAT_NAME = "subadapt-checkpoint"
 FORMAT_VERSION = 1
 
-_BUILDERS = {
-    "generator": (GeneratorSpec, Generator),
-    "discriminator": (DiscriminatorSpec, Discriminator),
-    "classifier": (ClassifierSpec, Classifier),
-}
+_BUILDERS = {net_cls.kind: (spec_cls, net_cls) for spec_cls, net_cls in (
+    (GeneratorSpec, Generator), (DiscriminatorSpec, Discriminator), (ClassifierSpec, Classifier))}
 _SPEC_FIELDS = {kind: tuple(f.name for f in fields(spec)) for kind, (spec, _) in _BUILDERS.items()}
 
 
 class CheckpointError(ValueError):
     """A checkpoint file is damaged, foreign, or does not fit its architecture."""
-
-
-def _kind_of(net) -> str:
-    for kind, (_, net_cls) in _BUILDERS.items():
-        if isinstance(net, net_cls):
-            return kind
-    raise TypeError(f"not a checkpointable network: {type(net).__name__}")
 
 
 def save_checkpoint(models: dict, path, seed: int = 0, step_count: int = 0) -> None:
@@ -46,11 +36,10 @@ def save_checkpoint(models: dict, path, seed: int = 0, step_count: int = 0) -> N
         "models": {},
     }
     for name, net in models.items():
-        kind = _kind_of(net)
-        spec = {f: getattr(net.spec, f) for f in _SPEC_FIELDS[kind]}
+        spec = {f: getattr(net.spec, f) for f in _SPEC_FIELDS[net.kind]}
         params = {pname: {"shape": list(p.data.shape), "values": p.data.ravel().tolist()}
                   for pname, p in net.parameters().items()}
-        payload["models"][name] = {"kind": kind, "spec": spec, "parameters": params}
+        payload["models"][name] = {"kind": net.kind, "spec": spec, "parameters": params}
     Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -97,14 +86,5 @@ def _rebuild(entry, where: str):
 
 
 def save_bundle(bundle: ModelBundle, path, seed: int = 0, step_count: int = 0) -> None:
-    save_checkpoint({"generator": bundle.generator,
-                     "discriminator": bundle.discriminator,
-                     "classifier": bundle.classifier}, path, seed, step_count)
-
-
-def load_bundle(path) -> tuple[ModelBundle, dict]:
-    models, meta = load_checkpoint(path)
-    missing = {"generator", "discriminator", "classifier"} - set(models)
-    if missing:
-        raise CheckpointError(f"{path}: bundle checkpoint is missing {sorted(missing)}")
-    return ModelBundle(models["generator"], models["discriminator"], models["classifier"]), meta
+    save_checkpoint({net.kind: net for net in (bundle.generator, bundle.discriminator,
+                                               bundle.classifier)}, path, seed, step_count)

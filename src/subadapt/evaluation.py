@@ -135,12 +135,6 @@ def report_from_dict(d: dict) -> ClassificationReport:
         total=int(d["total"]), class_names=names)
 
 
-def _role_of(name: str) -> str | None:
-    key = name.lower().replace(" ", "").replace("-", "").replace("_", "")
-    return {"notransfer": "no_transfer", "adapted": "adapted",
-            "supervised": "supervised"}.get(key)
-
-
 @dataclass
 class RunComparison:
     names: tuple
@@ -152,17 +146,17 @@ class RunComparison:
     def to_csv(self) -> str:
         lines = ["run,weighted_f1,delta_vs_no_transfer,delta_vs_supervised"]
         for name, wf1 in zip(self.names, self.weighted_f1):
-            role = _role_of(name)
             d_nt = repr(self.delta_vs_no_transfer) \
-                if role == "adapted" and self.delta_vs_no_transfer is not None else ""
+                if name == "adapted" and self.delta_vs_no_transfer is not None else ""
             d_sup = repr(self.delta_vs_supervised) \
-                if role == "adapted" and self.delta_vs_supervised is not None else ""
+                if name == "adapted" and self.delta_vs_supervised is not None else ""
             lines.append(f"{name},{repr(wf1)},{d_nt},{d_sup}")
         return "\n".join(lines) + "\n"
 
 
 def compare_runs(named_reports) -> RunComparison:
-    """Side-by-side weighted F1 for runs scored on the same test set."""
+    """Side-by-side weighted F1 for runs scored on the same test set; the runs named
+    no_transfer, adapted and supervised give the deltas and the sandwich."""
     if not named_reports:
         raise ValueError("nothing to compare")
     totals = {rep.total for _, rep in named_reports}
@@ -170,18 +164,11 @@ def compare_runs(named_reports) -> RunComparison:
         raise ValueError(f"runs scored on different test-set sizes: {sorted(totals)}")
     names = tuple(name for name, _ in named_reports)
     wf1 = tuple(rep.weighted_f1 for _, rep in named_reports)
-    by_role = {}
-    for name, rep in named_reports:
-        role = _role_of(name)
-        if role:
-            by_role[role] = rep.weighted_f1
-    d_nt = d_sup = sandwich = None
-    if "adapted" in by_role and "no_transfer" in by_role:
-        d_nt = by_role["adapted"] - by_role["no_transfer"]
-    if "adapted" in by_role and "supervised" in by_role:
-        d_sup = by_role["adapted"] - by_role["supervised"]
-    if len(by_role) == 3:
-        sandwich = bool(by_role["no_transfer"] <= by_role["adapted"] <= by_role["supervised"])
+    by_name = dict(zip(names, wf1))
+    floor, adapted, ceiling = (by_name.get(n) for n in ("no_transfer", "adapted", "supervised"))
+    d_nt = None if adapted is None or floor is None else adapted - floor
+    d_sup = None if adapted is None or ceiling is None else adapted - ceiling
+    sandwich = None if d_nt is None or d_sup is None else bool(floor <= adapted <= ceiling)
     return RunComparison(names, wf1, d_nt, d_sup, sandwich)
 
 

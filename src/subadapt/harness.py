@@ -154,7 +154,7 @@ def _numbers(value) -> np.ndarray:
 _TYPES = {   # field annotation -> (what a config value must be, its JSON type, converter)
     "int": ("an integer", object, _whole),
     "float": ("a finite number", object, lambda v: float(_number(v))),
-    "str": ("a string", object, str),
+    "str": ("a string", str, str),
     "bool": ("true or false", bool, bool),
     "dict": ("an object", dict, dict),
     "tuple": ("a list", list, tuple),

@@ -9,12 +9,13 @@ All convolutions use kernel size 3, stride 1 and length-preserving
 padding; there is no pooling, batch norm, dropout or skip connection
 anywhere. Hidden activations are relu (leaky relu 0.2 inside the
 discriminator); the discriminator head is tanh, the classifier head is
-softmax, the generator output is linear.
+softmax, the generator output is linear. Every forward takes a batch of
+windows, [batch, input_dim]; a single window is a batch of one.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,6 +125,9 @@ class ConvLayer:
         return T.conv1d(t, self.kernels, self.bias, stride=1, padding="same",
                         activation=self.activation, slope=LEAKY_SLOPE)
 
+    def params(self) -> dict:
+        return {"kernels": self.kernels, "bias": self.bias}
+
     def descriptor(self) -> dict:
         return {"type": "conv1d", "name": self.name, "in_channels": self.in_channels,
                 "filters": self.out_channels, "kernel_size": KERNEL_SIZE, "stride": 1,
@@ -144,41 +148,47 @@ class DenseLayer:
     def __call__(self, t: Tensor) -> Tensor:
         return _activate(T.dense(t, self.weights, self.bias), self.activation)
 
+    def params(self) -> dict:
+        return {"weights": self.weights, "bias": self.bias}
+
     def descriptor(self) -> dict:
         return {"type": "dense", "name": self.name, "in_features": self.in_features,
                 "units": self.units, "activation": self.activation}
 
 
-def _as_rows(value, dim: int, what: str) -> tuple[Tensor, bool]:
-    """Coerce to a 2-D [batch, dim] tensor; remember whether input was a single row."""
+def _batch(value, dim: int, what: str) -> Tensor:
+    """A [batch, dim] tensor; any other shape is a ShapeError."""
     t = T.as_tensor(value)
-    if t.ndim == 1:
-        if t.shape[0] != dim:
-            raise ShapeError(f"{what} has dimension {t.shape[0]}, expected {dim}")
-        return T.reshape(t, (1, dim)), True
-    if t.ndim == 2:
-        if t.shape[1] != dim:
-            raise ShapeError(f"{what} has dimension {t.shape[1]}, expected {dim}")
-        return t, False
-    raise ShapeError(f"{what} must be a vector or a batch of vectors, got shape {t.shape}")
+    if t.ndim != 2:
+        raise ShapeError(f"{what} must be a batch of vectors [batch, {dim}], got shape {t.shape}")
+    if t.shape[1] != dim:
+        raise ShapeError(f"{what} has dimension {t.shape[1]}, expected {dim}")
+    return t
 
 
-def _collect(layers) -> OrderedDict:
-    params: OrderedDict[str, Tensor] = OrderedDict()
-    for layer in layers:
-        if isinstance(layer, ConvLayer):
-            params[f"{layer.name}.kernels"] = layer.kernels
-            params[f"{layer.name}.bias"] = layer.bias
-        else:
-            params[f"{layer.name}.weights"] = layer.weights
-            params[f"{layer.name}.bias"] = layer.bias
-    return params
+class _Network:
+    """What the three networks share: hidden `layers`, an `output_layer` and a `spec`.
+    Parameters are named `<layer>.<param>`, in layer order."""
+    kind: str
+
+    def parameters(self) -> OrderedDict:
+        return OrderedDict((f"{layer.name}.{pname}", p)
+                           for layer in (*self.layers, self.output_layer)
+                           for pname, p in layer.params().items())
+
+    def architecture(self) -> dict:
+        return {"kind": self.kind,
+                **{f.name: getattr(self.spec, f.name) for f in fields(self.spec)
+                   if f.name != "seed"},
+                "layers": [l.descriptor() for l in (*self.layers, self.output_layer)]}
 
 
-class Generator:
+class Generator(_Network):
+    kind = "generator"
+
     def __init__(self, spec: GeneratorSpec):
         self.spec = spec
-        rng = RandomSource(spec.seed, "generator-init")
+        rng = RandomSource(spec.seed, f"{self.kind}-init")
         in_channels = 2 if spec.noise_dim > 0 else 1
         self.layers: list[ConvLayer] = []
         channels = in_channels
@@ -218,99 +228,74 @@ class Generator:
         out[0, 1, 1] = -1.0
 
     def forward(self, x, z=None) -> Tensor:
-        xb, single = _as_rows(x, self.spec.input_dim, "generator input")
+        """[batch, input_dim] windows and [batch, noise_dim] noise to [batch, input_dim]."""
+        xb = _batch(x, self.spec.input_dim, "generator input")
         n, d = xb.shape
         h = T.reshape(xb, (n, 1, d))
         if self.spec.noise_dim > 0:
             if z is None:
                 raise ShapeError("generator requires a noise vector (noise_dim > 0)")
-            zb, _ = _as_rows(z, self.spec.noise_dim, "generator noise")
+            zb = _batch(z, self.spec.noise_dim, "generator noise")
             if zb.shape[0] != n:
                 raise ShapeError(f"noise batch {zb.shape[0]} does not match input batch {n}")
             noise_channel = T.repeat_to_length(T.reshape(zb, (n, 1, self.spec.noise_dim)), d)
             h = T.concat([h, noise_channel], axis=1)
         for layer in self.layers:
             h = layer(h)
-        out = self.output_layer(h)
-        out = T.reshape(out, (n, d))
-        return T.reshape(out, (d,)) if single else out
-
-    def parameters(self) -> OrderedDict:
-        return _collect([*self.layers, self.output_layer])
-
-    def architecture(self) -> dict:
-        return {"kind": "generator", "input_dim": self.spec.input_dim,
-                "blocks": self.spec.blocks, "filters": self.spec.filters,
-                "noise_dim": self.spec.noise_dim,
-                "layers": [l.descriptor() for l in [*self.layers, self.output_layer]]}
+        return T.reshape(self.output_layer(h), (n, d))
 
 
-class Discriminator:
+class _ConvStack(_Network):
+    """The critic's and the classifier's shape: one conv layer per `spec.filter_counts`
+    entry with the `hidden` activation over a single-channel window, then a dense head
+    with the `head` activation."""
+    hidden: str
+    head: str
+
+    def __init__(self, spec, units: int):
+        self.spec = spec
+        rng = RandomSource(spec.seed, f"{self.kind}-init")
+        self.layers: list[ConvLayer] = []
+        channels = 1
+        for i, f in enumerate(spec.filter_counts):
+            self.layers.append(ConvLayer(f"conv{i}", channels, f, self.hidden, rng))
+            channels = f
+        self.output_layer = DenseLayer("output", channels * spec.input_dim, units,
+                                       self.head, rng)
+
+    def forward(self, x) -> Tensor:
+        """[batch, input_dim] windows to the head's [batch, units] outputs."""
+        xb = _batch(x, self.spec.input_dim, f"{self.kind} input")
+        n, d = xb.shape
+        h = T.reshape(xb, (n, 1, d))
+        for layer in self.layers:
+            h = layer(h)
+        return self.output_layer(T.reshape(h, (n, self.output_layer.in_features)))
+
+
+class Discriminator(_ConvStack):
+    kind, hidden, head = "discriminator", "leaky_relu", "tanh"
+
     def __init__(self, spec: DiscriminatorSpec):
-        self.spec = spec
-        rng = RandomSource(spec.seed, "discriminator-init")
-        self.layers: list[ConvLayer] = []
-        channels = 1
-        for i, f in enumerate(spec.filter_counts):
-            self.layers.append(ConvLayer(f"conv{i}", channels, f, "leaky_relu", rng))
-            channels = f
-        self.output_layer = DenseLayer("output", channels * spec.input_dim, 1, "tanh", rng)
+        super().__init__(spec, 1)
 
     def forward(self, x) -> Tensor:
-        xb, single = _as_rows(x, self.spec.input_dim, "discriminator input")
-        n, d = xb.shape
-        h = T.reshape(xb, (n, 1, d))
-        for layer in self.layers:
-            h = layer(h)
-        h = T.reshape(h, (n, self.output_layer.in_features))
-        out = T.reshape(self.output_layer(h), (n,))
-        return T.reshape(out, ()) if single else out
-
-    def parameters(self) -> OrderedDict:
-        return _collect([*self.layers, self.output_layer])
-
-    def architecture(self) -> dict:
-        return {"kind": "discriminator", "input_dim": self.spec.input_dim,
-                "base_filters": self.spec.base_filters,
-                "layers": [l.descriptor() for l in [*self.layers, self.output_layer]]}
+        """[batch, input_dim] windows to [batch] scores in (-1, 1)."""
+        out = super().forward(x)
+        return T.reshape(out, (out.shape[0],))
 
 
-class Classifier:
+class Classifier(_ConvStack):
+    kind, hidden, head = "classifier", "relu", "softmax"
+
     def __init__(self, spec: ClassifierSpec):
-        self.spec = spec
-        rng = RandomSource(spec.seed, "classifier-init")
-        self.layers: list[ConvLayer] = []
-        channels = 1
-        for i, f in enumerate(spec.filter_counts):
-            self.layers.append(ConvLayer(f"conv{i}", channels, f, "relu", rng))
-            channels = f
-        self.output_layer = DenseLayer("output", channels * spec.input_dim,
-                                       spec.num_classes, "softmax", rng)
-
-    def forward(self, x) -> Tensor:
-        xb, single = _as_rows(x, self.spec.input_dim, "classifier input")
-        n, d = xb.shape
-        h = T.reshape(xb, (n, 1, d))
-        for layer in self.layers:
-            h = layer(h)
-        h = T.reshape(h, (n, self.output_layer.in_features))
-        out = self.output_layer(h)
-        return T.reshape(out, (self.spec.num_classes,)) if single else out
+        super().__init__(spec, spec.num_classes)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Argmax class ids for a matrix of windows (no recording)."""
         with T.paused():
             probs = self.forward(np.asarray(windows, dtype=np.float64))
         return np.argmax(probs.data, axis=-1)
-
-    def parameters(self) -> OrderedDict:
-        return _collect([*self.layers, self.output_layer])
-
-    def architecture(self) -> dict:
-        return {"kind": "classifier", "input_dim": self.spec.input_dim,
-                "num_classes": self.spec.num_classes,
-                "base_filters": self.spec.base_filters,
-                "layers": [l.descriptor() for l in [*self.layers, self.output_layer]]}
 
 
 @dataclass
@@ -320,13 +305,9 @@ class ModelBundle:
     classifier: Classifier
 
     def parameters(self) -> OrderedDict:
-        params: OrderedDict[str, Tensor] = OrderedDict()
-        for prefix, net in (("generator", self.generator),
-                            ("discriminator", self.discriminator),
-                            ("classifier", self.classifier)):
-            for name, p in net.parameters().items():
-                params[f"{prefix}.{name}"] = p
-        return params
+        return OrderedDict((f"{net.kind}.{name}", p)
+                           for net in (self.generator, self.discriminator, self.classifier)
+                           for name, p in net.parameters().items())
 
 
 def build_bundle(gen_spec: GeneratorSpec, disc_spec: DiscriminatorSpec,

@@ -215,10 +215,6 @@ class NormalizationModel:
         out = np.where(span == 0, 0.5, out)   # constant channel: pinned mid-range
         return np.clip(out, 0.0, 1.0)
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        span = self.channel_max - self.channel_min
-        return np.asarray(values, dtype=np.float64) * span + self.channel_min
-
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(
             {"channel_min": self.channel_min.tolist(), "channel_max": self.channel_max.tolist()},

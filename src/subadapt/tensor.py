@@ -9,7 +9,7 @@ no other dtype is ever created.
 The op set is intentionally closed: exactly what the three networks and
 their training losses need (1-D convolution, dense layers, the activations,
 elementwise arithmetic, reductions, a clamped log, and the bookkeeping ops
-reshape/concat/pick/detach).
+reshape/concat/pick).
 """
 from __future__ import annotations
 
@@ -46,10 +46,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """Constant copy; gradients never flow through the result."""
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -445,8 +441,8 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
            activation: str = "linear", slope: float = 0.2) -> Tensor:
     """1-D cross-correlation over [batch, channels_in, length] input, then an activation.
 
-    Accepts an unbatched [channels_in, length] input and returns the
-    matching unbatched output. Output length follows the usual
+    The input must be batched, a batch of one included; the output is
+    [batch, channels_out, out_length], with out_length following the usual
     floor((padded - k) / stride) + 1 rule. `activation` is "linear",
     "relu" or "leaky_relu" (negative slope `slope`, in [0, 1]); the result
     equals conv1d followed by relu()/leaky_relu() bit for bit, recorded as
@@ -455,10 +451,9 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     bias = as_tensor(bias) if bias is not None else None
-    unbatched = x.data.ndim == 2
-    xd = x.data[None] if unbatched else x.data
+    xd = x.data
     if xd.ndim != 3:
-        raise ShapeError(f"conv1d input must be [channels, length] or [batch, channels, length], got {x.data.shape}")
+        raise ShapeError(f"conv1d input must be [batch, channels, length], got {xd.shape}")
     if kernels.data.ndim != 3:
         raise ShapeError(f"conv1d kernels must be [out, in, k], got {kernels.data.shape}")
     if kernels.data.shape[1] != xd.shape[1]:
@@ -485,27 +480,26 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
         np.maximum(out_data, 0.0, out=out_data)
     elif activation == "leaky_relu":
         np.maximum(out_data, slope * out_data, out=out_data)
-    out = Tensor(out_data[0] if unbatched else out_data)
+    out = Tensor(out_data)
     span = stride * (out_data.shape[2] - 1) + 1
 
     def grad(g, needs):
-        gb = g[None] if unbatched else g
         if activation != "linear":
             mask = out_data > 0.0   # the output is > 0 exactly where the pre-activation is
-            gb = gb * mask if activation == "relu" else np.where(mask, gb, slope * gb)
+            g = g * mask if activation == "relu" else np.where(mask, g, slope * g)
         d_x = d_k = d_b = None
         if needs[0]:
             dxp = np.zeros(xp.shape)
             tmp = np.empty(out_data.shape[:1] + (n_in, out_data.shape[2]))
             for j in range(kernel):
-                dxp[:, :, j:j + span:stride] += np.matmul(kd[:, :, j].T, gb, out=tmp)
-            d_x = dxp[0, :, pl:pl + length] if unbatched else dxp[:, :, pl:pl + length]
+                dxp[:, :, j:j + span:stride] += np.matmul(kd[:, :, j].T, g, out=tmp)
+            d_x = dxp[:, :, pl:pl + length]
         if needs[1]:
             d_k = np.empty(kd.shape)
             for j in range(kernel):
-                d_k[:, :, j] = np.matmul(gb, xp[:, :, j:j + span:stride].transpose(0, 2, 1)).sum(axis=0)
+                d_k[:, :, j] = np.matmul(g, xp[:, :, j:j + span:stride].transpose(0, 2, 1)).sum(axis=0)
         if bias is not None and needs[2]:
-            d_b = gb.sum(axis=(0, 2))
+            d_b = g.sum(axis=(0, 2))
         return (d_x, d_k) if bias is None else (d_x, d_k, d_b)
 
     inputs = (x, kernels) if bias is None else (x, kernels, bias)
@@ -514,30 +508,28 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
 
 
 def dense(x, weights, bias=None) -> Tensor:
-    """Affine map: x [n] or [batch, n] against weights [m, n] plus bias [m]."""
+    """Affine map: batched input x [batch, n] against weights [m, n] plus bias [m]."""
     x, weights = as_tensor(x), as_tensor(weights)
     bias = as_tensor(bias) if bias is not None else None
     if weights.data.ndim != 2:
         raise ShapeError(f"dense weights must be 2-D [units, features], got {weights.data.shape}")
     m, n = weights.data.shape
-    unbatched = x.data.ndim == 1
-    xd = x.data[None] if unbatched else x.data
-    if xd.ndim != 2 or xd.shape[1] != n:
+    xd = x.data
+    if xd.ndim != 2:
+        raise ShapeError(f"dense input must be [batch, features], got {xd.shape}")
+    if xd.shape[1] != n:
         raise ShapeError(f"dense input features {x.data.shape} do not match weights {weights.data.shape}")
     if bias is not None and bias.data.shape != (m,):
         raise ShapeError(f"dense bias must have shape ({m},), got {bias.data.shape}")
 
     wd = weights.data
     out_data = xd @ wd.T if bias is None else xd @ wd.T + bias.data
-    out = Tensor(out_data[0] if unbatched else out_data)
+    out = Tensor(out_data)
 
     def grad(g, needs):
-        gb = g[None] if unbatched else g
-        d_x = (gb @ wd) if needs[0] else None
-        if d_x is not None and unbatched:
-            d_x = d_x[0]
-        d_w = (gb.T @ xd) if needs[1] else None
-        d_b = gb.sum(axis=0) if bias is not None and needs[2] else None
+        d_x = (g @ wd) if needs[0] else None
+        d_w = (g.T @ xd) if needs[1] else None
+        d_b = g.sum(axis=0) if bias is not None and needs[2] else None
         return (d_x, d_w) if bias is None else (d_x, d_w, d_b)
 
     inputs = (x, weights) if bias is None else (x, weights, bias)

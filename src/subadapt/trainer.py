@@ -52,7 +52,6 @@ class TrainerConfig:
     with_replacement: bool = False
     sampler: str = "micro"               # "plain" is the ablation control
     smoothing_pos: float = 0.9           # a: critic regression target magnitude
-    smoothing_neg: float = 0.0           # b: kept for the optimal-critic analysis
     noise_amplitude: float = 0.1         # input noise, annealed linearly to 0
     lr_generator: float = 1e-3
     lr_discriminator: float = 1e-3
@@ -67,8 +66,6 @@ class TrainerConfig:
             raise ValueError("at least one loss weight must be positive")
         if not (0.0 < self.smoothing_pos <= 1.0):
             raise ValueError(f"smoothing_pos must lie in (0, 1], got {self.smoothing_pos}")
-        if not (0.0 <= self.smoothing_neg < self.smoothing_pos):
-            raise ValueError("smoothing_neg must lie in [0, smoothing_pos)")
         if self.noise_amplitude < 0:
             raise ValueError("noise_amplitude must be >= 0")
         if self.epochs < 0:
@@ -264,7 +261,7 @@ def train(bundle: ModelBundle, source: DomainDataset, target: DomainDataset,
         raise ValueError(f"source dim {source.dim} != target dim {target.dim}")
     for net in (bundle.generator, bundle.discriminator, bundle.classifier):
         if net.spec.input_dim != source.dim:
-            raise ValueError(f"{net.architecture()['kind']} expects dimension "
+            raise ValueError(f"{net.kind} expects dimension "
                              f"{net.spec.input_dim}, data has {source.dim}")
     if bundle.classifier.spec.num_classes != source.num_classes:
         raise ValueError(f"classifier has {bundle.classifier.spec.num_classes} classes, "

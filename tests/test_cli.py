@@ -294,3 +294,28 @@ def test_integer_keys_take_whole_numbers_written_as_floats(workspace):
                                     "data.synthetic.class_counts=[12.0, 12]"])
     assert (cfg.trainer.epochs, cfg.seed, cfg.synth.class_counts) == (3, 4, (12, 12))
     assert type(cfg.trainer.epochs) is int
+
+
+@pytest.mark.parametrize("override,key", [
+    ("output_dir=null", "output_dir"),
+    ("output_dir=true", "output_dir"),
+    ("output_dir=3", "output_dir"),
+    ("data.csv.source_subject=3", "data.csv.source_subject"),
+    ("data.csv.schema.missing_marker=null", "data.csv.schema.missing_marker"),
+], ids=["output_dir-null", "output_dir-true", "output_dir-3", "source_subject-3",
+        "missing_marker-null"])
+def test_string_keys_take_only_json_strings(workspace, capsys, monkeypatch, override, key):
+    config_path, out_dir = workspace
+    monkeypatch.chdir(out_dir.parent)   # a stringified output_dir would land here
+    if override.startswith("data.csv"):
+        config = json.loads(config_path.read_text())
+        config["data"] = {"kind": "csv", "csv": {
+            "path": "absent.csv", "sample_rate": 4.0, "source_subject": "source",
+            "target_subject": "target", "window_seconds": 1.0}}
+        config_path.write_text(json.dumps(config))
+    code = main(["prepare", "--config", str(config_path), "--set", override])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be a string, got ")
+    assert len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in out_dir.parent.iterdir()) == ["run.json"]

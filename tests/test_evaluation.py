@@ -137,13 +137,10 @@ def test_compare_runs_computes_deltas_and_sandwich():
                            ("supervised", fake_report(0.8))])
     assert broken.sandwich is False
 
-
-def test_compare_runs_normalizes_role_names():
-    cmp = compare_runs([("No-Transfer", fake_report(0.4)),
-                        ("ADAPTED", fake_report(0.6))])
-    assert abs(cmp.delta_vs_no_transfer - 0.2) < 1e-12
-    assert cmp.delta_vs_supervised is None
-    assert cmp.sandwich is None  # supervised leg missing
+    partial = compare_runs([("no_transfer", fake_report(0.4)), ("adapted", fake_report(0.6))])
+    assert abs(partial.delta_vs_no_transfer - 0.2) < 1e-12
+    assert partial.delta_vs_supervised is None
+    assert partial.sandwich is None  # supervised leg missing
 
 
 def test_compare_runs_requires_matching_test_sets():

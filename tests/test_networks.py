@@ -1,14 +1,15 @@
 """Network construction: layer audits, shapes, init, checkpoint round trips."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from subadapt.checkpoint import (CheckpointError, load_bundle, load_checkpoint, save_bundle,
-                                 save_checkpoint)
+from subadapt.checkpoint import CheckpointError, load_checkpoint, save_bundle, save_checkpoint
+from subadapt.harness import NetworkConfig
 from subadapt.networks import (Classifier, ClassifierSpec, ConvLayer, Discriminator,
-                               DiscriminatorSpec, Generator, GeneratorSpec, ModelBundle,
-                               build_bundle, parameter_count)
+                               DiscriminatorSpec, Generator, GeneratorSpec, build_bundle,
+                               parameter_count)
 from subadapt.tensor import ShapeError, Tape, Tensor
 
 
@@ -96,16 +97,20 @@ def test_spec_validation():
 
 
 def test_forward_shapes_batched_and_single():
+    """Batches map to batches; a single window, not a batch of one, is a ShapeError."""
     g_spec, d_spec, c_spec = small_specs()
     bundle = build_bundle(g_spec, d_spec, c_spec)
     x = np.random.default_rng(0).normal(size=(5, 10))
     z = np.random.default_rng(1).normal(size=(5, 2))
     assert bundle.generator.forward(x, z).shape == (5, 10)
-    assert bundle.generator.forward(x[0], z[0]).shape == (10,)
     assert bundle.discriminator.forward(x).shape == (5,)
-    assert bundle.discriminator.forward(x[0]).shape == ()
     assert bundle.classifier.forward(x).shape == (5, 3)
-    assert bundle.classifier.forward(x[0]).shape == (3,)
+    for single in (lambda: bundle.generator.forward(x[0], z[0]),
+                   lambda: bundle.generator.forward(x, z[0]),
+                   lambda: bundle.discriminator.forward(x[0]),
+                   lambda: bundle.classifier.forward(x[0])):
+        with pytest.raises(ShapeError, match="must be a batch of vectors"):
+            single()
 
 
 def test_each_conv_layer_call_is_one_tape_op():
@@ -222,16 +227,19 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         p.data = rng.normal(size=p.data.shape)  # arbitrary trained state
     path = tmp_path / "ckpt.json"
     save_bundle(bundle, path, seed=9, step_count=123)
-    restored, meta = load_bundle(path)
+    restored, meta = load_checkpoint(path)
     assert meta == {"seed": 9, "step_count": 123}
-    originals = bundle.parameters()
-    for name, p in restored.parameters().items():
-        assert np.array_equal(p.data, originals[name].data), name
+    assert list(restored) == ["classifier", "discriminator", "generator"]
+    for kind, net in restored.items():
+        originals = getattr(bundle, kind).parameters()
+        assert list(net.parameters()) == list(originals)
+        for name, p in net.parameters().items():
+            assert np.array_equal(p.data, originals[name].data), (kind, name)
     x = rng.normal(size=(4, 10))
     z = rng.normal(size=(4, 2))
-    assert np.array_equal(restored.generator.forward(x, z).data,
+    assert np.array_equal(restored["generator"].forward(x, z).data,
                           bundle.generator.forward(x, z).data)
-    assert np.array_equal(restored.classifier.forward(x).data,
+    assert np.array_equal(restored["classifier"].forward(x).data,
                           bundle.classifier.forward(x).data)
 
 
@@ -302,9 +310,70 @@ def test_checkpoint_damage_raises_checkpoint_error(tmp_path, how):
         load_checkpoint(path)
 
 
-def test_bundle_loader_requires_all_three_networks(tmp_path):
-    cls = Classifier(ClassifierSpec(10, num_classes=3, base_filters=8))
-    path = tmp_path / "partial.json"
-    save_checkpoint({"classifier": cls}, path)
-    with pytest.raises(ValueError):
-        load_bundle(path)
+# ---------------------------------------------------------------------------
+# pinned values: names, architectures and the initial checkpoint bytes of the
+# default networks at window dimension 50, 4 classes, seed 7
+
+
+def _conv(name, in_channels, filters, activation):
+    return {"type": "conv1d", "name": name, "in_channels": in_channels, "filters": filters,
+            "kernel_size": 3, "stride": 1, "padding": "same", "activation": activation}
+
+
+def _dense(in_features, units, activation):
+    return {"type": "dense", "name": "output", "in_features": in_features, "units": units,
+            "activation": activation}
+
+
+GENERATOR_NAMES = [f"{layer}.{p}" for layer in ("block0.conv0", "block0.conv1", "block1.conv0",
+                                                "block1.conv1", "output")
+                   for p in ("kernels", "bias")]
+DISCRIMINATOR_NAMES = [*(f"conv{i}.{p}" for i in range(5) for p in ("kernels", "bias")),
+                       "output.weights", "output.bias"]
+CLASSIFIER_NAMES = [*(f"conv{i}.{p}" for i in range(3) for p in ("kernels", "bias")),
+                    "output.weights", "output.bias"]
+ARCHITECTURES = {
+    "generator": {
+        "kind": "generator", "input_dim": 50, "blocks": 2, "filters": 32, "noise_dim": 16,
+        "layers": [_conv("block0.conv0", 2, 32, "relu"), _conv("block0.conv1", 32, 32, "relu"),
+                   _conv("block1.conv0", 32, 32, "relu"), _conv("block1.conv1", 32, 32, "relu"),
+                   _conv("output", 32, 1, "linear")]},
+    "discriminator": {
+        "kind": "discriminator", "input_dim": 50, "base_filters": 8,
+        "layers": [_conv("conv0", 1, 16, "leaky_relu"), _conv("conv1", 16, 32, "leaky_relu"),
+                   _conv("conv2", 32, 64, "leaky_relu"), _conv("conv3", 64, 32, "leaky_relu"),
+                   _conv("conv4", 32, 16, "leaky_relu"), _dense(800, 1, "tanh")]},
+    "classifier": {
+        "kind": "classifier", "input_dim": 50, "num_classes": 4, "base_filters": 16,
+        "layers": [_conv("conv0", 1, 16, "relu"), _conv("conv1", 16, 8, "relu"),
+                   _conv("conv2", 8, 4, "relu"), _dense(200, 4, "softmax")]},
+}
+# PCG64 draws and IEEE arithmetic only (no BLAS), so the bytes are portable
+INITIAL_BUNDLE_SHA256 = "9b86adf613b08f5753bf23c0cb0ee6ac194a9d12bf33b89eb5ae43613349501e"
+
+
+def default_bundle():
+    return build_bundle(*NetworkConfig().specs(50, 4, seed=7))
+
+
+def test_parameter_names_are_pinned():
+    bundle = default_bundle()
+    assert list(bundle.generator.parameters()) == GENERATOR_NAMES
+    assert list(bundle.discriminator.parameters()) == DISCRIMINATOR_NAMES
+    assert list(bundle.classifier.parameters()) == CLASSIFIER_NAMES
+    assert list(bundle.parameters()) == [
+        *(f"generator.{n}" for n in GENERATOR_NAMES),
+        *(f"discriminator.{n}" for n in DISCRIMINATOR_NAMES),
+        *(f"classifier.{n}" for n in CLASSIFIER_NAMES)]
+
+
+def test_architectures_are_pinned():
+    bundle = default_bundle()
+    for kind, expected in ARCHITECTURES.items():
+        assert getattr(bundle, kind).architecture() == expected
+
+
+def test_initial_bundle_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "initial.json"
+    save_bundle(default_bundle(), path, seed=7)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INITIAL_BUNDLE_SHA256

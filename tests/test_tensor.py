@@ -113,60 +113,51 @@ def test_pick_rejects_bad_requests():
 
 
 def test_conv1d_same_padding_golden():
-    x = Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    x = Tensor([[[1.0, 2.0, 3.0, 4.0, 5.0]]])
     k = Tensor([[[1.0, 0.0, -1.0]]])
     b = Tensor([0.5])
     out = T.conv1d(x, k, b, stride=1, padding="same")
     # padded [0,1,2,3,4,5,0]; windows dot [1,0,-1] then +0.5
-    assert np.array_equal(out.data, [[-1.5, -1.5, -1.5, -1.5, 4.5]])
+    assert np.array_equal(out.data, [[[-1.5, -1.5, -1.5, -1.5, 4.5]]])
 
 
 def test_conv1d_valid_padding_golden():
-    x = Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    x = Tensor([[[1.0, 2.0, 3.0, 4.0, 5.0]]])
     k = Tensor([[[1.0, 0.0, -1.0]]])
     out = T.conv1d(x, k, stride=1, padding="valid")
-    assert np.array_equal(out.data, [[-2.0, -2.0, -2.0]])
+    assert np.array_equal(out.data, [[[-2.0, -2.0, -2.0]]])
 
 
 def test_conv1d_stride_two_same_padding_golden():
-    x = Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
+    x = Tensor([[[1.0, 2.0, 3.0, 4.0, 5.0]]])
     k = Tensor([[[1.0, 0.0, -1.0]]])
     out = T.conv1d(x, k, stride=2, padding="same")
     # out_len = ceil(5/2) = 3; pad (1,1); starts 0,2,4 of [0,1,2,3,4,5,0]
-    assert np.array_equal(out.data, [[-2.0, -2.0, 4.0]])
+    assert np.array_equal(out.data, [[[-2.0, -2.0, 4.0]]])
 
 
 def test_conv1d_multichannel_sums_over_input_channels():
-    x = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    x = Tensor([[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]])
     k = Tensor([[[1.0, 1.0], [1.0, 1.0]]])
     out = T.conv1d(x, k, stride=1, padding="valid")
-    assert np.array_equal(out.data, [[12.0, 16.0]])
-
-
-def test_conv1d_batched_matches_unbatched():
-    rng = np.random.default_rng(3)
-    xs = rng.normal(size=(4, 2, 9))
-    k = Tensor(rng.normal(size=(3, 2, 3)))
-    b = Tensor(rng.normal(size=3))
-    batched = T.conv1d(Tensor(xs), k, b).data
-    for i in range(4):
-        single = T.conv1d(Tensor(xs[i]), k, b).data
-        assert np.array_equal(batched[i], single)
+    assert np.array_equal(out.data, [[[12.0, 16.0]]])
 
 
 def test_conv1d_output_length_rule():
     rng = np.random.default_rng(0)
     for length, kernel, stride in [(10, 3, 1), (10, 3, 2), (11, 5, 3), (7, 7, 1)]:
-        x = Tensor(rng.normal(size=(1, length)))
+        x = Tensor(rng.normal(size=(1, 1, length)))
         k = Tensor(rng.normal(size=(1, 1, kernel)))
         valid = T.conv1d(x, k, stride=stride, padding="valid")
-        assert valid.shape == (1, (length - kernel) // stride + 1)
+        assert valid.shape == (1, 1, (length - kernel) // stride + 1)
         same = T.conv1d(x, k, stride=stride, padding="same")
-        assert same.shape == (1, -(-length // stride))
+        assert same.shape == (1, 1, -(-length // stride))
 
 
 def test_conv1d_shape_errors():
-    x = Tensor(np.zeros((2, 8)))
+    x = Tensor(np.zeros((1, 2, 8)))
+    with pytest.raises(ShapeError, match=r"\[batch, channels, length\]"):
+        T.conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))))  # not batched
     with pytest.raises(ShapeError):
         T.conv1d(x, Tensor(np.zeros((1, 3, 3))))     # channel mismatch
     with pytest.raises(ShapeError):
@@ -186,13 +177,15 @@ def test_conv1d_shape_errors():
 
 
 def test_dense_golden_and_shape_errors():
-    x = Tensor([1.0, 2.0])
+    x = Tensor([[1.0, 2.0]])
     w = Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = Tensor([10.0, 20.0])
-    assert np.array_equal(T.dense(x, w, b).data, [15.0, 31.0])
+    assert np.array_equal(T.dense(x, w, b).data, [[15.0, 31.0]])
     assert np.array_equal(T.dense(Tensor([[1.0, 2.0]]), w).data, [[5.0, 11.0]])
+    with pytest.raises(ShapeError, match=r"\[batch, features\]"):
+        T.dense(Tensor([1.0, 2.0]), w)          # not batched
     with pytest.raises(ShapeError):
-        T.dense(Tensor([1.0, 2.0, 3.0]), w)
+        T.dense(Tensor([[1.0, 2.0, 3.0]]), w)
     with pytest.raises(ShapeError):
         T.dense(x, w, Tensor([1.0]))
     with pytest.raises(ShapeError):
@@ -337,24 +330,20 @@ def _conv_against_reference(x_shape, width, stride, padding, seed):
         probe = rng.normal(size=out.shape)
         loss = T.sum_all(T.mul(out, probe))
     grads = backward(tape, loss)
-    batched = len(x_shape) == 3
-    ref_out, ref_dx, ref_dk, ref_db = conv1d_reference(
-        x.data if batched else x.data[None], k.data, b.data, stride, padding,
-        probe if batched else probe[None])
-    if not batched:
-        ref_out, ref_dx = ref_out[0], ref_dx[0]
+    ref_out, ref_dx, ref_dk, ref_db = conv1d_reference(x.data, k.data, b.data, stride, padding,
+                                                       probe)
     assert out.shape == ref_out.shape
     for got, want in ((out.data, ref_out), (grads[x], ref_dx), (grads[k], ref_dk), (grads[b], ref_db)):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("several_rows", [True, False])   # False: a batch of one
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 @pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("stride", [1, 2, 3])
-def test_conv1d_matches_loop_reference(stride, padding, width, batched):
-    shape = (2, 2, 11) if batched else (2, 11)
+def test_conv1d_matches_loop_reference(stride, padding, width, several_rows):
+    shape = (2 if several_rows else 1, 2, 11)
     _conv_against_reference(shape, width, stride, padding, seed=100 * stride + width)
 
 
@@ -377,13 +366,6 @@ def test_conv1d_stride_two_valid_input_gradient_by_finite_differences():
     assert np.array_equal(backward(tape, loss)[x][:, :, 9], np.zeros((2, 2)))
 
 
-def test_conv1d_unbatched_gradient():
-    rng = np.random.default_rng(17)
-    x = Tensor(rng.normal(size=(2, 9)), requires_grad=True)
-    k = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
-    fd_check(lambda: T.mean_all(T.square(T.conv1d(x, k))), x, k)
-
-
 def _conv_then_activation(x, k, b, stride, padding, activation, fused, probe):
     """Output and (x, k, b) gradients of the fused op, or of conv1d then relu()/leaky_relu()."""
     with Tape() as tape:
@@ -397,14 +379,14 @@ def _conv_then_activation(x, k, b, stride, padding, activation, fused, probe):
     return out.data, grads[x], grads[k], grads[b]
 
 
-@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("several_rows", [True, False])   # False: a batch of one
 @pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
 def test_fused_conv1d_activation_is_bit_equal_to_separate_ops(activation, stride, padding,
-                                                               batched):
+                                                               several_rows):
     rng = np.random.default_rng(31)
-    shape = (3, 2, 11) if batched else (2, 11)
+    shape = (3 if several_rows else 1, 2, 11)
     # quarter-integer grids make many pre-activations exactly 0, others negative
     grid = (Tensor(rng.integers(-2, 3, size=shape) * 0.25, requires_grad=True),
             Tensor(rng.integers(-2, 3, size=(4, 2, 3)) * 0.5, requires_grad=True),
@@ -447,7 +429,7 @@ def test_dense_gradients():
     w = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
     fd_check(lambda: T.mean_all(T.square(T.dense(x, w, b))), x, w, b)
-    xu = Tensor(rng.normal(size=6), requires_grad=True)
+    xu = Tensor(rng.normal(size=(1, 6)), requires_grad=True)   # a batch of one
     fd_check(lambda: T.sum_all(T.square(T.dense(xu, w, b))), xu, w, b)
 
 
@@ -503,15 +485,6 @@ def test_unreachable_parameter_gets_zero_gradient():
     assert np.array_equal(grads[unused], np.zeros(2))
 
 
-def test_detach_blocks_gradient_flow():
-    x = Tensor(np.full(3, 2.0), requires_grad=True)
-    with Tape() as tape:
-        frozen = T.square(x).detach()
-        loss = T.sum_all(T.mul(frozen, x))
-    grads = backward(tape, loss)
-    assert np.array_equal(grads[x], np.full(3, 4.0))  # d/dx of 4*x, not 3x^2
-
-
 def test_paused_suppresses_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
@@ -533,7 +506,7 @@ def test_everything_stays_float64():
     x = Tensor(np.ones(3, dtype=np.float32))
     assert x.data.dtype == np.float64
     assert T.square(x).data.dtype == np.float64
-    assert T.conv1d(Tensor(np.ones((1, 5), dtype=np.int32)),
+    assert T.conv1d(Tensor(np.ones((1, 1, 5), dtype=np.int32)),
                     Tensor(np.ones((1, 1, 3)))).data.dtype == np.float64
 
 
