@@ -30,10 +30,11 @@ from . import evaluation as ev
 from .checkpoint import load_checkpoint, save_bundle, save_checkpoint
 from .networks import (Classifier, ClassifierSpec, DiscriminatorSpec, GeneratorSpec,
                        build_bundle)
-from .pipeline import (CsvSchema, DomainDataset, PipelineError, RawRecording, SplitSpec,
-                       SynthSpec, apply_minmax, apply_pca, declared_minmax, fit_minmax,
-                       fit_pca, generate_synthetic_pair, impute_missing, load_recordings,
-                       rotation_mixing, save_recordings_csv, segment_windows, split_domain)
+from .pipeline import (CsvSchema, DomainDataset, PcaSize, PipelineError, RawRecording,
+                       SplitSpec, SynthSpec, Windowing, apply_minmax, apply_pca,
+                       declared_minmax, fit_minmax, fit_pca, generate_synthetic_pair,
+                       impute_missing, load_recordings, rotation_mixing, save_recordings_csv,
+                       segment_windows, split_domain)
 from .sampler import compute_micro_size
 from .trainer import DivergedError, TrainerConfig, train, train_classifier
 
@@ -64,6 +65,9 @@ class CsvDataConfig:
         if self.normalization not in ("declared", "fitted"):
             raise ValueError(f"normalization must be 'declared' or 'fitted', "
                              f"got {self.normalization!r}")
+        Windowing(self.sample_rate, self.window_seconds, self.overlap)
+        if self.normalization == "declared":
+            declared_minmax(self.declared_low, self.declared_high, channels=1)
 
 
 @dataclass
@@ -73,8 +77,8 @@ class PreprocessingConfig:
     split: SplitSpec = SplitSpec()
 
     def __post_init__(self):
-        if self.pca_dim is not None and self.pca_fraction is not None:
-            raise ValueError("give pca_dim or pca_fraction, not both")
+        if self.pca_dim is not None or self.pca_fraction is not None:
+            PcaSize(self.pca_dim, self.pca_fraction)
 
 
 @dataclass

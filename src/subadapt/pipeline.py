@@ -10,13 +10,16 @@ becomes a vector of dimension w * c.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import RandomSource
 
@@ -47,6 +50,11 @@ class CsvSchema:
     allowed_labels: tuple | None = None    # None: vocabulary is the sorted set seen in the file
 
 
+def _check_sample_rate(rate: float) -> None:
+    if not rate > 0:
+        raise PipelineError(f"sample_rate must be positive, got {rate}")
+
+
 @dataclass
 class RawRecording:
     subject_id: str
@@ -63,16 +71,25 @@ class RawRecording:
         if self.labels.shape != (self.frames.shape[0],):
             raise PipelineError(f"need one label per frame: {self.frames.shape[0]} frames, "
                                 f"{self.labels.shape[0]} labels")
-        if self.sample_rate <= 0:
-            raise PipelineError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= len(self.label_names)):
+            raise PipelineError(f"frame labels must index the {len(self.label_names)} label names")
+        _check_sample_rate(self.sample_rate)
 
     @property
     def num_channels(self) -> int:
         return self.frames.shape[1]
 
 
+_CELLS_PER_BLOCK = 1 << 16   # channel cells per float conversion; bounds the strings held
+
+
 def load_recordings(path, schema: CsvSchema, sample_rate: float) -> list:
-    """Parse one CSV into per-subject recordings, preserving row order."""
+    """Parse one CSV into per-subject recordings, preserving row order.
+
+    Each row is checked as it is read; its channel cells are converted to
+    float64 a block of rows at a time. A pending block is converted before a
+    row error is raised, so the first error in file order is the one reported.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -96,36 +113,62 @@ def load_recordings(path, schema: CsvSchema, sample_rate: float) -> list:
         if not channel_cols:
             raise IngestionError(f"{path}: no channel columns")
         chan_is = [header.index(c) for c in channel_cols]
+        # itemgetter of one index returns the cell itself, not a 1-tuple
+        pick = operator.itemgetter(*chan_is) if len(chan_is) > 1 else lambda row: (row[chan_is[0]],)
+        missing = {schema.missing_marker: math.nan}
 
-        subjects: dict[str, dict] = {}
+        labels: dict[str, list] = {}    # subject -> label per row, in row order
+        blocks: dict[str, list] = {}    # subject -> [rows, channels] frame blocks, in row order
         labels_seen: list[str] = []
+        cells, row_subjects, row_lines = [], [], []   # the pending block: stripped cells
+
+        def convert():
+            try:
+                values = np.array(list(map(missing.get, cells, cells)), dtype=np.float64)
+            except ValueError:
+                for i, cell in enumerate(cells):
+                    try:
+                        float(missing.get(cell, cell))
+                    except ValueError:
+                        row, col = divmod(i, len(chan_is))
+                        raise IngestionError(
+                            f"{path}:{row_lines[row]}: channel {channel_cols[col]!r} has "
+                            f"non-numeric value {cell!r}") from None
+                raise
+            values = values.reshape(-1, len(chan_is))
+            # numbered, since numpy string arrays drop trailing NULs ("s" == "s\0")
+            number = {subject: i for i, subject in enumerate(labels)}
+            keys = np.array(list(map(number.__getitem__, row_subjects)))
+            for subject in dict.fromkeys(row_subjects):
+                blocks.setdefault(subject, []).append(values[keys == number[subject]])
+            del cells[:], row_subjects[:], row_lines[:]
+
+        def row_error(message):
+            if cells:
+                convert()
+            return IngestionError(message)
+
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
-                raise IngestionError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                raise row_error(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             subject = row[subj_i].strip()
             label = row[label_i].strip()
             if schema.allowed_labels is not None and label not in schema.allowed_labels:
-                raise IngestionError(f"{path}:{lineno}: unknown label {label!r}")
+                raise row_error(f"{path}:{lineno}: unknown label {label!r}")
             if label not in labels_seen:
                 labels_seen.append(label)
-            values = []
-            for ci in chan_is:
-                cell = row[ci].strip()
-                if cell == schema.missing_marker:
-                    values.append(np.nan)
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}:{lineno}: channel {header[ci]!r} has non-numeric value {cell!r}") from None
-            rec = subjects.setdefault(subject, {"frames": [], "labels": []})
-            rec["frames"].append(values)
-            rec["labels"].append(label)
+            labels.setdefault(subject, []).append(label)
+            cells.extend(map(str.strip, pick(row)))
+            row_subjects.append(subject)
+            row_lines.append(lineno)
+            if len(cells) >= _CELLS_PER_BLOCK:
+                convert()
+        if cells:
+            convert()
 
-    if not subjects:
+    if not labels:
         raise IngestionError(f"{path}: no data rows")
     if schema.allowed_labels is not None:
         label_names = tuple(schema.allowed_labels)
@@ -133,58 +176,77 @@ def load_recordings(path, schema: CsvSchema, sample_rate: float) -> list:
         label_names = tuple(sorted(labels_seen))
     index = {name: i for i, name in enumerate(label_names)}
     out = []
-    for subject, rec in subjects.items():
+    for subject, names in labels.items():
         out.append(RawRecording(
             subject_id=subject,
-            frames=np.array(rec["frames"], dtype=np.float64),
-            labels=np.array([index[l] for l in rec["labels"]], dtype=np.int64),
+            frames=np.concatenate(blocks.pop(subject)),   # frees the blocks subject by subject
+            labels=np.array(list(map(index.__getitem__, names)), dtype=np.int64),
             sample_rate=sample_rate,
             label_names=label_names,
         ))
     return out
 
 
+def _csv_line(fields) -> str:
+    """One row as csv.writer formats it, line end included."""
+    out = io.StringIO()
+    csv.writer(out).writerow(fields)
+    return out.getvalue()
+
+
 def save_recordings_csv(recordings, path, schema: CsvSchema = CsvSchema()) -> None:
+    """Write recordings as one CSV row per frame; a channel value is its float repr.
+
+    Every recording is checked before the file is opened, so a refused call
+    leaves an existing file as it was.
+    """
     path = Path(path)
     if not recordings:
         raise PipelineError("nothing to write")
     channels = recordings[0].num_channels
+    if any(rec.num_channels != channels for rec in recordings):
+        raise PipelineError("recordings disagree on channel count")
     if schema.channel_columns is not None:
         channel_cols = list(schema.channel_columns)
         if len(channel_cols) != channels:
             raise PipelineError(f"{len(channel_cols)} channel columns for {channels} channels")
     else:
         channel_cols = [f"ch{i}" for i in range(channels)]
-    marker = schema.missing_marker
+    # quoted as csv.writer quotes it; formatted in a two-field row, since a row of
+    # one empty field is written as ""
+    marker = _csv_line(["", schema.missing_marker])[1:-2]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.subject_column, schema.label_column, *channel_cols])
+        fh.write(_csv_line([schema.subject_column, schema.label_column, *channel_cols]))
         for rec in recordings:
-            if rec.num_channels != channels:
-                raise PipelineError("recordings disagree on channel count")
-            names = rec.label_names
-            # csv writes a Python float as its repr; v != v holds only for NaN
-            writer.writerows([rec.subject_id, names[label], *(marker if v != v else v for v in frame)]
-                             for frame, label in zip(rec.frames.tolist(), rec.labels.tolist()))
+            # "subject,label," for each label name
+            prefixes = [_csv_line([rec.subject_id, name, ""])[:-2] for name in rec.label_names]
+            gaps = np.isnan(rec.frames).any(axis=1).tolist()
+            for frame, label, gap in zip(rec.frames.tolist(), rec.labels.tolist(), gaps):
+                values = map(repr, frame)
+                if gap:   # repr gives "nan" for NaN and only for NaN
+                    values = [marker if v == "nan" else v for v in values]
+                fh.write(prefixes[label] + ",".join(values) + "\r\n")
 
 
 def impute_missing(rec: RawRecording) -> RawRecording:
     """Forward-fill each channel along time, then back-fill the leading gap."""
-    frames = rec.frames.copy()
-    for c in range(frames.shape[1]):
-        col = frames[:, c]
-        if np.all(np.isnan(col)):
-            raise PipelineError(f"channel {c} of subject {rec.subject_id!r} is entirely missing")
-        mask = np.isnan(col)
-        idx = np.where(mask, 0, np.arange(len(col)))
-        np.maximum.accumulate(idx, out=idx)
-        col = col[idx]
-        # leading NaNs survive forward fill; take the first observed value
-        lead = np.isnan(col)
-        if lead.any():
-            col[lead] = col[~lead][0]
-        frames[:, c] = col
-    return replace(rec, frames=frames)
+    frames = rec.frames
+    mask = np.isnan(frames)
+    empty = mask.all(axis=0)
+    if empty.any():
+        raise PipelineError(f"channel {int(np.argmax(empty))} of subject {rec.subject_id!r} "
+                            f"is entirely missing")
+    # per channel, the row of the latest observed value at or before each row
+    source = np.where(mask, 0, np.arange(frames.shape[0])[:, None])
+    np.maximum.accumulate(source, axis=0, out=source)
+    rows, cols = np.nonzero(mask)
+    fill = frames[source[rows, cols], cols]
+    # a leading gap has no earlier value; it takes the channel's first observed one
+    lead = np.isnan(fill)
+    fill[lead] = frames[np.argmax(~mask, axis=0), np.arange(frames.shape[1])][cols[lead]]
+    filled = frames.copy()
+    filled[rows, cols] = fill
+    return replace(rec, frames=filled)
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +379,53 @@ class DomainDataset:
             label_names=tuple(meta["label_names"]) if meta["label_names"] else None)
 
 
-def _majority_label(labels: np.ndarray) -> int:
-    counts = np.bincount(labels)
-    best = counts.max()
-    tied = np.flatnonzero(counts == best)
-    if len(tied) == 1:
-        return int(tied[0])
-    # ties go to whichever tied label shows up first inside the window
-    for lab in labels:
-        if lab in tied:
-            return int(lab)
-    raise AssertionError("unreachable")
+@dataclass(frozen=True)
+class Windowing:
+    """How a recording at `sample_rate` is cut: windows of `window_seconds`, each
+    sharing the fraction `overlap` with the next."""
+    sample_rate: float
+    window_seconds: float
+    overlap: float = 0.0
+
+    def __post_init__(self):
+        _check_sample_rate(self.sample_rate)
+        if not (0.0 <= self.overlap < 1.0):
+            raise PipelineError(f"overlap must lie in [0, 1), got {self.overlap}")
+        if self.frames < 1:
+            raise PipelineError(f"window of {self.window_seconds}s at {self.sample_rate}Hz "
+                                f"spans no frames")
+
+    @property
+    def frames(self) -> int:
+        return half_up(self.window_seconds * self.sample_rate)
+
+    @property
+    def step(self) -> int:
+        return max(1, half_up(self.frames * (1.0 - self.overlap)))
 
 
 def segment_windows(rec: RawRecording, window_seconds: float, overlap_fraction: float) -> DomainDataset:
-    if not (0.0 <= overlap_fraction < 1.0):
-        raise PipelineError(f"overlap_fraction must lie in [0, 1), got {overlap_fraction}")
-    window_frames = half_up(window_seconds * rec.sample_rate)
-    if window_frames < 1:
-        raise PipelineError(f"window of {window_seconds}s at {rec.sample_rate}Hz spans no frames")
-    step = max(1, half_up(window_frames * (1.0 - overlap_fraction)))
+    """Frame-major windows, each labelled by the label most of its frames carry; a tie
+    goes to whichever tied label shows up first inside the window."""
+    cut = Windowing(rec.sample_rate, window_seconds, overlap_fraction)
+    width = cut.frames
     total = rec.frames.shape[0]
     num_classes = len(rec.label_names)
-    if total < window_frames:
+    if total < width:
         warnings.warn(f"recording {rec.subject_id!r} is shorter than one window "
-                      f"({total} < {window_frames} frames); produced 0 windows")
-        return DomainDataset(rec.subject_id, np.zeros((0, window_frames * rec.num_channels)),
+                      f"({total} < {width} frames); produced 0 windows")
+        return DomainDataset(rec.subject_id, np.zeros((0, width * rec.num_channels)),
                              np.zeros(0, dtype=np.int64), num_classes, rec.label_names)
-    starts = range(0, total - window_frames + 1, step)
-    windows = np.stack([rec.frames[s:s + window_frames].reshape(-1) for s in starts])
-    labels = np.array([_majority_label(rec.labels[s:s + window_frames]) for s in starts],
-                      dtype=np.int64)
+    # [windows, width, channels] views; reshape copies them out flattened frame-major
+    windows = sliding_window_view(rec.frames, (width, rec.num_channels))[::cut.step, 0]
+    windows = windows.reshape(len(windows), -1)
+    in_window = sliding_window_view(rec.labels, width)[::cut.step]             # [windows, width]
+    count = len(in_window)
+    votes = np.bincount((np.arange(count)[:, None] * num_classes + in_window).ravel(),
+                        minlength=count * num_classes).reshape(count, num_classes)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    first = np.argmax(np.take_along_axis(tied, in_window, axis=1), axis=1)
+    labels = in_window[np.arange(count), first]
     return DomainDataset(rec.subject_id, windows, labels, num_classes, rec.label_names)
 
 
@@ -393,6 +471,25 @@ class PcaModel:
                         np.asarray(d["explained_variance_ratio"]))
 
 
+@dataclass(frozen=True)
+class PcaSize:
+    """How many principal components to keep: `output_dim`, or round(`fraction` x d)
+    of d-dimensional windows. Exactly one of the two is given."""
+    output_dim: int | None = None
+    fraction: float | None = None
+
+    def __post_init__(self):
+        if (self.output_dim is None) == (self.fraction is None):
+            raise PipelineError("give either a PCA output dimension or a PCA fraction, not both")
+        if self.output_dim is not None and self.output_dim < 1:
+            raise PipelineError(f"PCA output dimension must be >= 1, got {self.output_dim}")
+        if self.fraction is not None and not (0.0 < self.fraction <= 1.0):
+            raise PipelineError(f"PCA fraction must lie in (0, 1], got {self.fraction}")
+
+    def components(self, d: int) -> int:
+        return self.output_dim if self.fraction is None else max(1, half_up(self.fraction * d))
+
+
 def fit_pca(windows: np.ndarray, output_dim: int | None = None,
             fraction: float | None = None) -> PcaModel:
     """Fit on a pooled [rows, d] matrix; keep output_dim (or round(fraction * d)) components.
@@ -406,14 +503,9 @@ def fit_pca(windows: np.ndarray, output_dim: int | None = None,
     if windows.ndim != 2 or windows.shape[0] < 2:
         raise PipelineError(f"need at least 2 pooled windows, got shape {windows.shape}")
     rows, d = windows.shape
-    if (output_dim is None) == (fraction is None):
-        raise PipelineError("give exactly one of output_dim or fraction")
-    if fraction is not None:
-        if not (0.0 < fraction <= 1.0):
-            raise PipelineError(f"fraction must lie in (0, 1], got {fraction}")
-        output_dim = max(1, half_up(fraction * d))
+    output_dim = PcaSize(output_dim, fraction).components(d)
     bound = min(rows, d)
-    if not (1 <= output_dim <= bound):
+    if output_dim > bound:
         raise PipelineError(f"output_dim must lie in [1, {bound}] for {rows} pooled windows "
                             f"of dimension {d}, got {output_dim}")
     mean = windows.mean(axis=0)

@@ -319,3 +319,47 @@ def test_string_keys_take_only_json_strings(workspace, capsys, monkeypatch, over
     assert err.startswith(f"config error: {key} must be a string, got ")
     assert len(err.strip().splitlines()) == 1
     assert sorted(p.name for p in out_dir.parent.iterdir()) == ["run.json"]
+
+
+@pytest.fixture
+def csv_workspace(workspace, capsys):
+    """The workspace corpus written through `synth`, configured as a two-subject CSV."""
+    config_path, out_dir = workspace
+    corpus = config_path.parent / "corpus.csv"
+    assert main(["synth", "--config", str(config_path), "--out", str(corpus)]) == EXIT_OK
+    config = json.loads(config_path.read_text())
+    config["data"] = {"kind": "csv", "csv": {
+        "path": str(corpus), "sample_rate": 4.0, "source_subject": "source",
+        "target_subject": "target", "window_seconds": 1.0, "normalization": "fitted"}}
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    return config_path, out_dir
+
+
+def test_csv_config_prepares(csv_workspace):
+    config_path, out_dir = csv_workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    assert (out_dir / "prepared" / "prepare.json").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["data.csv.overlap=1.5"],
+    ["data.csv.sample_rate=0"],
+    ["data.csv.window_seconds=-1"],
+    ["data.csv.window_seconds=0.1"],            # 0.4 frames: the window spans none
+    ["preprocessing.pca_fraction=2"],
+    ["preprocessing.pca_dim=0"],
+    ["preprocessing.pca_dim=-3"],
+    ["data.csv.normalization=declared", "data.csv.declared_low=2"],
+], ids=["overlap-1.5", "sample_rate-0", "window_seconds-neg", "window-no-frames",
+        "pca_fraction-2", "pca_dim-0", "pca_dim-neg", "declared-range-inverted"])
+def test_csv_and_pca_ranges_are_config_errors_before_data_is_read(csv_workspace, capsys,
+                                                                  overrides):
+    config_path, out_dir = csv_workspace
+    code = main(["prepare", "--config", str(config_path),
+                 *(arg for item in overrides for arg in ("--set", item))])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out_dir / "prepared").exists()

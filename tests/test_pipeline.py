@@ -137,6 +137,148 @@ def test_csv_writer_bytes_are_pinned(tmp_path):
         "87ec9199e0d7de1cd91f592ddb685e4b2b8bbe992f930fdd2712640bf4056986"
 
 
+@pytest.mark.parametrize("marker,subject,digest", [
+    ("", "alice", "f89728c5bf825a1bcaac2ff662b518f22134eb17945041bd4ac856874c1ad24e"),
+    ("N,A", "s,1", "84f25154a64dfea5aa1a0332d878525f628667b88b45f63fc0eb7a6de41caa4c"),
+    ("NaN", 'say "hi"', "80ab7f429ac361511fa3b7f36c8c73615bc2ca07c4c5f81d39d09f9441432ec9"),
+], ids=["empty-marker", "quoted-marker-and-subject", "quoted-subject"])
+def test_csv_writer_bytes_with_quoting_and_mixed_rows_are_pinned(tmp_path, marker, subject,
+                                                                 digest):
+    # rows mixing missing and observed cells, a fully missing row, signed zero, infinities
+    frames = np.array([[0.1, -2.5, 3.0], [np.nan, 1e-17, 12345.678], [2.0 / 3.0, -0.0, np.inf],
+                       [np.nan, np.nan, np.nan], [1e300, np.nan, -7.25]])
+    names = ("sit", "walk, fast")
+    recs = [RawRecording(subject, frames, [0, 1, 1, 0, 1], 10.0, names),
+            RawRecording("bob", -frames[::-1], [1, 0, 0, 1, 0], 10.0, names)]
+    path = tmp_path / "pinned.csv"
+    save_recordings_csv(recs, path, CsvSchema(missing_marker=marker))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_csv_round_trips_three_subjects_bit_exactly(tmp_path):
+    rng = np.random.default_rng(31)
+    names = ("lie", "sit", "walk")
+    originals = []
+    for subject, rows in (("s1", 700), ("s 2", 900), ("s,3", 500)):   # > one parse block
+        frames = rng.normal(size=(rows, 40)) * 10.0 ** rng.integers(-300, 300, size=(rows, 40))
+        frames[rng.random(size=frames.shape) < 0.05] = np.nan
+        frames[3] = np.nan
+        frames[4, :3] = (-0.0, np.inf, 5e-324)
+        originals.append(RawRecording(subject, frames, rng.integers(0, 3, size=rows), 50.0, names))
+    path = tmp_path / "three.csv"
+    save_recordings_csv(originals, path)
+    loaded = load_recordings(path, CsvSchema(), sample_rate=50.0)
+    assert [r.subject_id for r in loaded] == ["s1", "s 2", "s,3"]
+    for a, b in zip(originals, loaded):
+        assert a.frames.tobytes() == b.frames.tobytes()
+        assert np.array_equal(a.labels, b.labels) and b.label_names == names
+
+
+def test_csv_writer_refuses_mismatched_recordings_before_touching_the_file(tmp_path):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"subject,label,a\r\nkeep,me,1.0\r\n")
+    recs = [RawRecording("s1", np.zeros((3, 2)), [0, 0, 0], 1.0, ("a",)),
+            RawRecording("s2", np.zeros((3, 3)), [0, 0, 0], 1.0, ("a",))]
+    with pytest.raises(PipelineError, match="channel count"):
+        save_recordings_csv(recs, path)
+    assert path.read_bytes() == b"subject,label,a\r\nkeep,me,1.0\r\n"
+
+
+# the reader's contract, cell by cell
+
+
+def test_load_strips_padded_cells_before_matching_the_marker(tmp_path):
+    p = write_csv(tmp_path / "d.csv", "subject,label,a,b\ns1,w, NA ,1\ns1,w,NA,\t2 \n")
+    rec, = load_recordings(p, CsvSchema(missing_marker="NA"), sample_rate=1.0)
+    assert np.array_equal(rec.frames, [[np.nan, 1.0], [np.nan, 2.0]], equal_nan=True)
+    # with the default marker an NA cell is no number
+    with pytest.raises(IngestionError, match=r"d\.csv:2: channel 'a' has non-numeric value 'NA'"):
+        load_recordings(p, CsvSchema(), sample_rate=1.0)
+
+
+def test_load_takes_padded_numbers_and_every_float_spelling(tmp_path):
+    p = write_csv(tmp_path / "d.csv",
+                  "subject,label,a,b\ns1,w, 1.5 ,\t-2e3 \ns1,w,1_000,inf\ns1,w,-Infinity,nan\n")
+    rec, = load_recordings(p, CsvSchema(), sample_rate=1.0)
+    assert rec.frames.tolist()[:2] == [[1.5, -2000.0], [1000.0, np.inf]]
+    assert rec.frames[2, 0] == -np.inf and np.isnan(rec.frames[2, 1])
+
+
+def test_load_empty_marker_reads_blank_cells_as_missing(tmp_path):
+    p = write_csv(tmp_path / "d.csv", "subject,label,a,b\ns1,w,,2\ns1,w, ,3\n")
+    rec, = load_recordings(p, CsvSchema(missing_marker=""), sample_rate=1.0)
+    assert np.array_equal(rec.frames, [[np.nan, 2.0], [np.nan, 3.0]], equal_nan=True)
+    with pytest.raises(IngestionError, match=r"d\.csv:2: channel 'a' has non-numeric value ''"):
+        load_recordings(p, CsvSchema(), sample_rate=1.0)
+
+
+def test_load_quoted_subject_with_comma_and_crlf_line_ends(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b'subject,label,a\r\n"s,1",w,1\r\ns2,w,2\r\n"s,1",w,3\r\n')
+    s1, s2 = load_recordings(p, CsvSchema(), sample_rate=1.0)
+    assert s1.subject_id == "s,1" and s1.frames.tolist() == [[1.0], [3.0]]
+    assert s2.subject_id == "s2" and s2.frames.tolist() == [[2.0]]
+
+
+def test_load_keeps_subjects_apart_that_differ_only_by_a_trailing_nul(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("subject,label,a\ns\0,w,1\ns,w,2\ns\0,w,3\n")
+    nul, plain = load_recordings(p, CsvSchema(), sample_rate=1.0)
+    assert (nul.subject_id, nul.frames.tolist()) == ("s\0", [[1.0], [3.0]])
+    assert (plain.subject_id, plain.frames.tolist()) == ("s", [[2.0]])
+
+
+def test_load_single_channel_column(tmp_path):
+    p = write_csv(tmp_path / "d.csv", "subject,label,a,b\ns1,w,1,2\ns1,w,NaN,4\n")
+    rec, = load_recordings(p, CsvSchema(channel_columns=("b",)), sample_rate=1.0)
+    assert rec.frames.tolist() == [[2.0], [4.0]]
+    rec, = load_recordings(p, CsvSchema(channel_columns=("a",)), sample_rate=1.0)
+    assert rec.frames.shape == (2, 1) and np.isnan(rec.frames[1, 0])
+
+
+def test_load_reports_line_and_column_of_first_bad_cell_after_blank_lines(tmp_path):
+    p = write_csv(tmp_path / "d.csv",
+                  "subject,label,a,b,c\ns1,w,1,2,3\n\n\n  \ns1,w,4,x y,z\ns1,w,5,q,6\n")
+    with pytest.raises(IngestionError, match=r"d\.csv:6: channel 'b' has non-numeric value 'x y'"):
+        load_recordings(p, CsvSchema(), sample_rate=1.0)
+    # in the declared channel order
+    with pytest.raises(IngestionError, match=r"d\.csv:6: channel 'c' has non-numeric value 'z'"):
+        load_recordings(p, CsvSchema(channel_columns=("c", "b")), sample_rate=1.0)
+
+
+def test_load_bad_cell_before_a_malformed_row_wins(tmp_path):
+    p = write_csv(tmp_path / "d.csv", "subject,label,a,b\ns1,w,1,2\ns1,w,bad,2\ns1,w\n")
+    with pytest.raises(IngestionError, match=r"d\.csv:3: channel 'a' has non-numeric value 'bad'"):
+        load_recordings(p, CsvSchema(), sample_rate=1.0)
+    p = write_csv(tmp_path / "e.csv", "subject,label,a,b\ns1,w,1,2\ns1,w,1,bad\ns1,fly,1,2\n")
+    with pytest.raises(IngestionError, match=r"e\.csv:3: channel 'b' has non-numeric value 'bad'"):
+        load_recordings(p, CsvSchema(allowed_labels=("w",)), sample_rate=1.0)
+
+
+def test_load_interleaved_subjects_across_parse_blocks(tmp_path):
+    rng = np.random.default_rng(32)
+    values = rng.normal(size=(3000, 30))
+    subjects = rng.choice(["a", "b", "c"], size=3000)
+    lines = ["subject,label," + ",".join(f"ch{i}" for i in range(30))]
+    lines += [f"{s},l{i % 2}," + ",".join(map(repr, row))
+              for i, (s, row) in enumerate(zip(subjects, values.tolist()))]
+    lines.insert(2000, "")
+    p = write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n")
+    recs = load_recordings(p, CsvSchema(), sample_rate=1.0)
+    assert [r.subject_id for r in recs] == list(dict.fromkeys(subjects))
+    for rec in recs:
+        rows = np.flatnonzero(subjects == rec.subject_id)
+        assert rec.frames.tobytes() == values[rows].tobytes()
+        assert rec.labels.tolist() == (rows % 2).tolist()
+    cells = lines[2500].split(",")
+    cells[7] = " oops "
+    lines[2500] = ",".join(cells)
+    lines[2900] = "a,l0"                 # a short row after the bad cell, in a later block
+    bad = write_csv(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+    with pytest.raises(IngestionError, match=r"bad\.csv:2501: channel 'ch5' has non-numeric value 'oops'"):
+        load_recordings(bad, CsvSchema(), sample_rate=1.0)
+
+
 # ---------------------------------------------------------------------------
 # imputation
 
@@ -150,6 +292,24 @@ def test_impute_forward_then_back_fills():
     out = impute_missing(rec)
     assert np.array_equal(out.frames, [[1, 0], [1, 0], [1, 0], [3, 5]])
     assert np.isnan(rec.frames[0, 0])  # input untouched
+
+
+def test_impute_matches_the_channel_by_channel_reference():
+    rng = np.random.default_rng(34)
+    frames = rng.normal(size=(300, 6))
+    frames[rng.random(size=frames.shape) < 0.3] = np.nan
+    frames[:40, 2] = np.nan                  # a long leading gap
+    frames[-1] = np.nan                      # a trailing row with nothing observed
+    expected = frames.copy()
+    for col in expected.T:
+        last = col[~np.isnan(col)][0]        # a leading gap takes the first observed value
+        for i, v in enumerate(col):
+            if np.isnan(v):
+                col[i] = last
+            else:
+                last = v
+    rec = RawRecording("s", frames, np.zeros(300, dtype=np.int64), 1.0, ("a",))
+    assert impute_missing(rec).frames.tobytes() == expected.tobytes()
 
 
 def test_impute_rejects_fully_missing_channel():
@@ -250,6 +410,27 @@ def test_segment_majority_label_with_earliest_tie_break():
     ds3 = segment_windows(ramp_recording(5, labels=[0, 2, 2, 2, 1]),
                           window_seconds=5.0, overlap_fraction=0.0)
     assert ds3.labels[0] == 2  # strict majority
+
+
+def majority_reference(labels):
+    """The label most frames carry; a tie goes to the tied label that shows up first."""
+    counts = np.bincount(labels)
+    tied = np.flatnonzero(counts == counts.max())
+    return next(int(label) for label in labels if label in tied)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.95])
+def test_segment_matches_the_window_by_window_reference(overlap):
+    rng = np.random.default_rng(35)
+    labels = rng.integers(0, 4, size=500)
+    labels[100:180] = 3
+    rec = RawRecording("s", rng.normal(size=(500, 3)), labels, 10.0, ("a", "b", "c", "d"))
+    ds = segment_windows(rec, window_seconds=1.3, overlap_fraction=overlap)
+    width = 13
+    starts = range(0, 500 - width + 1, max(1, half_up(width * (1.0 - overlap))))
+    windows = np.stack([rec.frames[s:s + width].reshape(-1) for s in starts])
+    assert ds.windows.tobytes() == windows.tobytes()
+    assert ds.labels.tolist() == [majority_reference(labels[s:s + width]) for s in starts]
 
 
 def test_segment_short_recording_warns_and_yields_nothing():
