@@ -49,6 +49,16 @@ class CsvSchema:
     missing_marker: str = "NaN"
     allowed_labels: tuple | None = None    # None: vocabulary is the sorted set seen in the file
 
+    def __post_init__(self):
+        # cells are compared with the marker after stripping, so a padded one never matches
+        if self.missing_marker != self.missing_marker.strip():
+            raise PipelineError(f"missing_marker must not start or end with whitespace, "
+                                f"got {self.missing_marker!r}")
+        columns = self.channel_columns or ()
+        repeated = [c for i, c in enumerate(columns) if c in columns[:i]]
+        if repeated:
+            raise PipelineError(f"channel_columns names {repeated[0]!r} more than once")
+
 
 def _check_sample_rate(rate: float) -> None:
     if not rate > 0:

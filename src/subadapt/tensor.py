@@ -422,18 +422,48 @@ def _pad(x, pad_left, pad_right):
     return xp
 
 
-def _conv1d_raw(xp, k, b, stride):
-    """Cross-correlate padded [batch, in, length] input, one GEMM per kernel tap: tap j
-    reads the strided view xp[:, :, j : j + span : stride], so no im2col copy is built."""
-    kernel = k.shape[2]
-    out_len = (xp.shape[2] - kernel) // stride + 1
+_ROW_BLOCK = 128   # batch rows per forward block; its padded input and scratch stay cache-sized
+
+
+def _tap_product(tap, x, out):
+    """tap [m, n] @ x [batch, n, length] into out. With n == 1 each element is one rounded
+    product: np.multiply, plus 0.0 to give a -0.0 product matmul's +0.0 (its sum starts at
+    zero), has matmul's bits without one BLAS call per batch row."""
+    if tap.shape[1] == 1:
+        np.multiply(tap, x, out=out)
+        return np.add(out, 0.0, out=out)
+    return np.matmul(tap, x, out=out)
+
+
+def _conv1d_forward(xd, taps, b, stride, pad_left, pad_right, activation, slope):
+    """Cross-correlate [batch, in, length] input with per-tap matrices [k, out, in], then
+    bias and activation, 128 rows at a time. Each block is padded into one zeroed scratch;
+    tap j reads its strided view xb[:, :, j : j + span : stride], so no im2col copy is
+    built. A row's output never depends on the other rows of its block."""
+    batch, n_in, length = xd.shape
+    kernel, n_out = taps.shape[:2]
+    padded = pad_left + length + pad_right
+    out_len = (padded - kernel) // stride + 1
     span = stride * (out_len - 1) + 1
-    out = np.matmul(k[:, :, 0], xp[:, :, :span:stride])
-    tmp = np.empty_like(out)
-    for j in range(1, kernel):
-        out += np.matmul(k[:, :, j], xp[:, :, j:j + span:stride], out=tmp)
-    if b is not None:
-        out += b[:, None]
+    out = np.empty((batch, n_out, out_len))
+    rows = min(batch, _ROW_BLOCK)
+    xp = np.zeros((rows, n_in, padded))
+    tmp = np.empty((rows, n_out, out_len))
+    for lo in range(0, batch, _ROW_BLOCK):
+        n = min(rows, batch - lo)
+        xb, ob = xp[:n], out[lo:lo + n]
+        xb[:, :, pad_left:pad_left + length] = xd[lo:lo + n]
+        _tap_product(taps[0], xb[:, :, :span:stride], ob)
+        for j in range(1, kernel):
+            ob += _tap_product(taps[j], xb[:, :, j:j + span:stride], tmp[:n])
+        if b is not None:
+            ob += b[:, None]
+        # in place, and equal to relu()/leaky_relu(): for a slope in [0, 1], max(z, slope*z)
+        # is z where z > 0 and slope*z elsewhere, NaN included
+        if activation == "relu":
+            np.maximum(ob, 0.0, out=ob)
+        elif activation == "leaky_relu":
+            np.maximum(ob, slope * ob, out=ob)
     return out
 
 
@@ -447,7 +477,7 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
     "relu" or "leaky_relu" (negative slope `slope`, in [0, 1]); the result
     equals conv1d followed by relu()/leaky_relu() bit for bit, recorded as
     one tape op. Forward, input gradient and kernel gradient are each one
-    GEMM per kernel tap.
+    GEMM per kernel tap, the forward's per block of 128 batch rows.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     bias = as_tensor(bias) if bias is not None else None
@@ -472,30 +502,26 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
     if kernel > length + pl + pr:
         raise ShapeError(f"kernel size {kernel} exceeds padded length {length + pl + pr}")
 
-    xp, kd = _pad(xd, pl, pr), kernels.data
-    out_data = _conv1d_raw(xp, kd, None if bias is None else bias.data, stride)
-    # in place, and equal to relu()/leaky_relu(): for a slope in [0, 1], max(z, slope*z)
-    # is z where z > 0 and slope*z elsewhere, NaN included
-    if activation == "relu":
-        np.maximum(out_data, 0.0, out=out_data)
-    elif activation == "leaky_relu":
-        np.maximum(out_data, slope * out_data, out=out_data)
+    taps = np.ascontiguousarray(kernels.data.transpose(2, 0, 1))
+    out_data = _conv1d_forward(xd, taps, None if bias is None else bias.data, stride, pl, pr,
+                               activation, slope)
     out = Tensor(out_data)
     span = stride * (out_data.shape[2] - 1) + 1
 
     def grad(g, needs):
         if activation != "linear":
             mask = out_data > 0.0   # the output is > 0 exactly where the pre-activation is
-            g = g * mask if activation == "relu" else np.where(mask, g, slope * g)
+            g = g * mask if activation == "relu" else g * np.where(mask, 1.0, slope)
         d_x = d_k = d_b = None
         if needs[0]:
-            dxp = np.zeros(xp.shape)
+            dxp = np.zeros(xd.shape[:2] + (pl + length + pr,))
             tmp = np.empty(out_data.shape[:1] + (n_in, out_data.shape[2]))
             for j in range(kernel):
-                dxp[:, :, j:j + span:stride] += np.matmul(kd[:, :, j].T, g, out=tmp)
+                dxp[:, :, j:j + span:stride] += _tap_product(taps[j].T, g, tmp)
             d_x = dxp[:, :, pl:pl + length]
         if needs[1]:
-            d_k = np.empty(kd.shape)
+            xp = _pad(xd, pl, pr)
+            d_k = np.empty(kernels.data.shape)
             for j in range(kernel):
                 d_k[:, :, j] = np.matmul(g, xp[:, :, j:j + span:stride].transpose(0, 2, 1)).sum(axis=0)
         if bias is not None and needs[2]:

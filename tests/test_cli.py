@@ -351,8 +351,12 @@ def test_csv_config_prepares(csv_workspace):
     ["preprocessing.pca_dim=0"],
     ["preprocessing.pca_dim=-3"],
     ["data.csv.normalization=declared", "data.csv.declared_low=2"],
+    ['data.csv.schema.missing_marker=" NA "'],    # cells are stripped: it could never match
+    ['data.csv.schema.missing_marker="NaN\\t"'],
+    ['data.csv.schema.channel_columns=["ch1", "ch0", "ch1"]'],
 ], ids=["overlap-1.5", "sample_rate-0", "window_seconds-neg", "window-no-frames",
-        "pca_fraction-2", "pca_dim-0", "pca_dim-neg", "declared-range-inverted"])
+        "pca_fraction-2", "pca_dim-0", "pca_dim-neg", "declared-range-inverted",
+        "missing_marker-padded", "missing_marker-trailing-tab", "channel_columns-repeated"])
 def test_csv_and_pca_ranges_are_config_errors_before_data_is_read(csv_workspace, capsys,
                                                                   overrides):
     config_path, out_dir = csv_workspace

@@ -1,10 +1,12 @@
 """Numeric core: forward goldens, finite-difference checks, tape semantics."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import subadapt.tensor as T
+from subadapt.networks import Classifier, ClassifierSpec
 from subadapt.tensor import Tensor, Tape, paused, backward, ShapeError, GraphError
 
 from conftest import numeric_gradient, gradients_close
@@ -347,6 +349,12 @@ def test_conv1d_matches_loop_reference(stride, padding, width, several_rows):
     _conv_against_reference(shape, width, stride, padding, seed=100 * stride + width)
 
 
+@pytest.mark.parametrize("in_channels", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv1d_matches_loop_reference_past_one_row_block(stride, in_channels):
+    _conv_against_reference((2 * 128 + 5, in_channels, 11), 3, stride, "same", seed=40 + stride)
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_conv1d_kernel_spanning_whole_padded_input_matches_reference(stride):
     # one output per filter: valid with kernel == length, and same padding length 1 out to 4
@@ -406,6 +414,81 @@ def test_fused_conv1d_activation_is_bit_equal_to_separate_ops(activation, stride
         for got, want in zip(fused, separate):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("in_channels", [1, 3])
+@pytest.mark.parametrize("batch", [1, 127, 128, 129, 2 * 128 + 5])
+@pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu"])
+def test_conv1d_batch_is_bit_equal_to_row_by_row_calls(activation, batch, in_channels):
+    # the forward runs in blocks of 128 rows: no row may see its block's other rows
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, in_channels, 9))
+    k = Tensor(rng.normal(size=(4, in_channels, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    probe = rng.normal(size=(batch, 4, 9))
+
+    def run(rows):
+        return _conv_then_activation(Tensor(x[rows], requires_grad=True), k, b, 1, "same",
+                                     activation, True, probe[rows])
+
+    out, d_x, d_k, d_b = run(slice(None))
+    rows = [run(slice(i, i + 1)) for i in range(batch)]
+    assert out.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+    assert d_x.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+    # the batch's kernel and bias gradients sum the rows' in row order
+    for got, i in ((d_k, 2), (d_b, 3)):
+        want = rows[0][i]
+        for r in rows[1:]:
+            want = want + r[i]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_single_channel_tap_products_are_bit_equal_to_matmul():
+    rng = np.random.default_rng(12)
+    # zeros against negative taps: np.multiply alone would give -0.0 where matmul gives +0.0
+    x = rng.normal(size=(130, 1, 20)) * (rng.random((130, 1, 20)) < 0.7)
+    taps = np.concatenate([-np.abs(rng.normal(size=(3, 1))), rng.normal(size=(5, 1)), [[0.0]]])
+    assert T._tap_product(taps, x, np.empty((130, 9, 20))).tobytes() == \
+        np.matmul(taps, x).tobytes()
+    # forward of a single-input-channel layer, against one whole-batch matmul per tap
+    k = rng.normal(size=(9, 1, 3))
+    with paused():
+        got = T.conv1d(x, k, padding="valid").data
+    want = np.matmul(k[:, :, 0], x[:, :, 0:18])
+    for j in (1, 2):
+        want += np.matmul(k[:, :, j], x[:, :, j:j + 18])
+    assert got.tobytes() == want.tobytes()
+    # input gradient of a single-output-channel layer: each tap is [in, 1] @ [batch, 1, length]
+    k = Tensor(rng.normal(size=(1, 6, 3)))
+    x6 = Tensor(rng.normal(size=(130, 6, 20)), requires_grad=True)
+    g = rng.normal(size=(130, 1, 18)) * (rng.random((130, 1, 18)) < 0.7)
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(T.conv1d(x6, k, padding="valid"), g))
+    want = np.zeros((130, 6, 20))
+    for j in range(3):
+        want[:, :, j:j + 18] += np.matmul(k.data[:, :, j].T, g)
+    assert backward(tape, loss)[x6].tobytes() == want.tobytes()
+
+
+# sha256 of the probabilities below as computed before the row-blocked conv1d forward,
+# one digest per OpenBLAS kernel family (each sums its GEMMs in its own order):
+# SkylakeX and newer, Haswell and Zen, Sandybridge and Nehalem, Prescott
+_PINNED_CLASSIFIER_PROBABILITIES = {
+    "62bc3e8ecb1b6b9362692cc09781f380f1d206cb6ae952409eb0a64bdb923a86",
+    "3584f489a92864bce4ca37d0c2466b04b96a5d74b2fb9394e4be26351ad85aeb",
+    "0a680160eb80429d6b8d70d3af9782b825da64d9dfffe8b17b905eca85d7d51a",
+    "45ab47b1b6ba104bf02cfeb009fc4e9539c44b103a9d6675e5bd1f20daf2fb97",
+}
+
+
+def test_classifier_forward_bytes_are_pinned():
+    # 300 rows: two full 128-row blocks and a partial one in every conv layer
+    rng = np.random.default_rng(41)
+    classifier = Classifier(ClassifierSpec(input_dim=50, num_classes=4, seed=7))
+    with paused():
+        probs = classifier.forward(rng.normal(size=(300, 50))).data
+    assert probs.shape == (300, 4)
+    assert hashlib.sha256(probs.tobytes()).hexdigest() in _PINNED_CLASSIFIER_PROBABILITIES
 
 
 @pytest.mark.parametrize("stride", [1, 2])
