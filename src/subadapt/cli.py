@@ -71,8 +71,10 @@ def _cmd_train(cfg) -> int:
 def _cmd_baselines(cfg) -> int:
     results = harness.baselines_run(cfg)
     for name, record in results.items():
-        print(f"{name}: {record['steps']} steps, final loss "
-              f"{record['final_loss']:.4f} -> {cfg.run_dir(name)}")
+        final = record["final_loss"]
+        loss = "" if final is None else f", final loss {final:.4f}"
+        print(f"{name}: {record['steps']} steps over {record['epochs_run']} epochs "
+              f"({record['stop_reason']}){loss} -> {cfg.run_dir(name)}")
     return EXIT_OK
 
 

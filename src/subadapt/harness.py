@@ -35,7 +35,6 @@ from .pipeline import (CsvSchema, DomainDataset, PcaSize, PipelineError, RawReco
                        declared_minmax, fit_minmax, fit_pca, generate_synthetic_pair,
                        impute_missing, load_recordings, rotation_mixing, save_recordings_csv,
                        segment_windows, split_domain)
-from .sampler import compute_micro_size
 from .trainer import DivergedError, TrainerConfig, train, train_classifier
 
 SPLIT_NAMES = ("source_train", "source_val", "source_test",
@@ -155,13 +154,20 @@ def _numbers(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _strings(value) -> tuple:
+    """A list of JSON strings as a tuple."""
+    if not all(isinstance(c, str) for c in value):
+        raise TypeError(value)
+    return tuple(value)
+
+
 _TYPES = {   # field annotation -> (what a config value must be, its JSON type, converter)
     "int": ("an integer", object, _whole),
     "float": ("a finite number", object, lambda v: float(_number(v))),
     "str": ("a string", str, str),
     "bool": ("true or false", bool, bool),
     "dict": ("an object", dict, dict),
-    "tuple": ("a list", list, tuple),
+    "tuple[str, ...]": ("a list of strings", list, _strings),
     "tuple[int, ...]": ("a list of integers", list, lambda v: tuple(_whole(c) for c in v)),
     "np.ndarray": ("a list of finite numbers", list, _numbers),
     "float | np.ndarray": ("a finite number or a list of finite numbers", object,
@@ -439,7 +445,7 @@ def train_run(cfg: RunConfig) -> dict:
         "run": "adapted",
         "config": cfg.raw,
         "steps": state.step,
-        "epochs_run": state.epoch + 1 if state.step else 0,
+        "epochs_run": len(state.epoch_means),
         "stop_reason": state.stop_reason,
         "mean_discrepancy": state.mean_discrepancy,
         "final_losses": None if not state.history else {
@@ -462,22 +468,23 @@ def baselines_run(cfg: RunConfig) -> dict:
     jobs = {"no_transfer": splits["source_train"], "supervised": splits["target_train"]}
     if jobs["supervised"].labels is None:
         raise PipelineError("supervised baseline needs a labeled target train split")
-    micro = cfg.trainer.micro_size if cfg.trainer.micro_size is not None else \
-        compute_micro_size(splits["source_train"], cfg.trainer.micro_cap)
-    batch_size = micro * splits["source_train"].num_classes
+    source = splits["source_train"]
+    batch_size = cfg.trainer.micro_size_for(source) * source.num_classes
     for name, data in jobs.items():
         started = time.time()
         cls = Classifier(cfg.networks.specs(data.dim, data.num_classes, cfg.seed)[2])
-        _, history = train_classifier(cls, data, cfg.trainer, batch_size, label=name)
+        _, state = train_classifier(cls, data, cfg.trainer, batch_size, label=name)
         run_dir = cfg.run_dir(name)
         run_dir.mkdir(parents=True, exist_ok=True)
         ckpt = run_dir / "checkpoint.json"
-        save_checkpoint({"classifier": cls}, ckpt, seed=cfg.seed, step_count=len(history))
+        save_checkpoint({"classifier": cls}, ckpt, seed=cfg.seed, step_count=state.step)
         record = {
             "run": name,
             "config": cfg.raw,
-            "steps": len(history),
-            "final_loss": history[-1].loss_c if history else None,
+            "steps": state.step,
+            "epochs_run": len(state.epoch_means),
+            "stop_reason": state.stop_reason,
+            "final_loss": state.history[-1].loss_c if state.history else None,
             "artifacts": {"checkpoint.json": _sha256(ckpt)},
             "splits_sha256": _splits_sha256(cfg),
             "duration_seconds": time.time() - started,

@@ -45,9 +45,9 @@ def half_up(x: float) -> int:
 class CsvSchema:
     subject_column: str = "subject"
     label_column: str = "label"
-    channel_columns: tuple | None = None   # None: every other column, in header order
+    channel_columns: tuple[str, ...] | None = None   # None: every other column, in header order
     missing_marker: str = "NaN"
-    allowed_labels: tuple | None = None    # None: vocabulary is the sorted set seen in the file
+    allowed_labels: tuple[str, ...] | None = None    # None: the sorted set seen in the file
 
     def __post_init__(self):
         # cells are compared with the marker after stripping, so a padded one never matches
@@ -292,11 +292,6 @@ class NormalizationModel:
             {"channel_min": self.channel_min.tolist(), "channel_max": self.channel_max.tolist()},
             sort_keys=True) + "\n")
 
-    @staticmethod
-    def from_json(path) -> "NormalizationModel":
-        d = json.loads(Path(path).read_text())
-        return NormalizationModel(np.asarray(d["channel_min"]), np.asarray(d["channel_max"]))
-
 
 def fit_minmax(values: np.ndarray) -> NormalizationModel:
     """Per-channel observed ranges from a [rows, channels] matrix (NaNs ignored)."""
@@ -473,12 +468,6 @@ class PcaModel:
             {"mean": self.mean.tolist(), "components": self.components.tolist(),
              "explained_variance_ratio": self.explained_variance_ratio.tolist()},
             sort_keys=True) + "\n")
-
-    @staticmethod
-    def from_json(path) -> "PcaModel":
-        d = json.loads(Path(path).read_text())
-        return PcaModel(np.asarray(d["mean"]), np.asarray(d["components"]),
-                        np.asarray(d["explained_variance_ratio"]))
 
 
 @dataclass(frozen=True)

@@ -51,43 +51,44 @@ def compute_micro_size(source: DomainDataset, cap: int = 32) -> int:
     return int(min(counts.min(), cap))
 
 
-class _TargetQueue:
-    """Without-replacement target index stream that refills with a fresh permutation."""
+class _RefillQueue:
+    """Without-replacement index stream: hands out one permutation after another.
 
-    def __init__(self, n: int, seed: int, epoch: int):
-        self.n = n
-        self.seed = seed
-        self.epoch = epoch
-        self.refills = 0
-        self._load()
+    `permutation(refill)` gives the next permutation, in draw order; it is asked for
+    the next one only when a draw finds the current one used up.
+    """
 
-    def _load(self):
-        rng = RandomSource(self.seed, "plan-target", self.epoch, self.refills)
-        self.queue = list(rng.permutation(self.n))
+    def __init__(self, permutation):
+        self._permutation = permutation
+        self._refills = 0
+        self._queue = permutation(0)
+        self._pos = 0
 
     def draw(self, k: int) -> np.ndarray:
-        out = []
-        while len(out) < k:
-            if not self.queue:
-                self.refills += 1
-                self._load()
-            out.append(self.queue.pop())
-        return np.asarray(out, dtype=np.int64)
+        parts = []
+        while k > 0:
+            if self._pos == len(self._queue):
+                self._refills += 1
+                self._queue, self._pos = self._permutation(self._refills), 0
+            part = self._queue[self._pos:self._pos + k]
+            self._pos += len(part)
+            k -= len(part)
+            parts.append(part)
+        return np.concatenate(parts).astype(np.int64)
 
 
 class EpochPlan:
-    """One epoch's worth of class-balanced mini-batches (iterate to consume)."""
+    """One epoch's worth of class-balanced mini-batches (iterate to consume).
+
+    Every plan runs max(min_count // m, 1) batches of m rows per class, where
+    min_count is the smallest source class count.
+    """
+
+    _blocks = True   # rows [j*m:(j+1)*m] of a batch are class j's
 
     def __init__(self, source: DomainDataset, target: DomainDataset, micro_size: int,
                  seed: int, epoch: int = 0, with_replacement: bool = False):
-        if source.labels is None:
-            raise SamplerError("source dataset must be labeled")
-        if micro_size < 1:
-            raise SamplerError(f"micro_size must be >= 1, got {micro_size}")
-        if len(target) < 1:
-            raise SamplerError("target dataset is empty")
-        if source.dim != target.dim:
-            raise SamplerError(f"source dim {source.dim} != target dim {target.dim}")
+        self._start(source, target, micro_size, seed, epoch)
         counts = source.class_counts()
         empty = np.flatnonzero(counts == 0)
         if empty.size:
@@ -100,38 +101,39 @@ class EpochPlan:
                     f"{micro_size}; enable with_replacement to refill")
             warnings.warn(f"smallest class has {min_count} < m={micro_size} samples; "
                           f"its queue will refill within the epoch")
+        self._class_queues = [_RefillQueue(self._class_permutations(c))
+                              for c in range(self.num_classes)]
+
+    def _start(self, source: DomainDataset, target: DomainDataset, micro_size: int,
+               seed: int, epoch: int) -> None:
+        """The checks, batch count and target queue that both plans share."""
+        if source.labels is None:
+            raise SamplerError("source dataset must be labeled")
+        if micro_size < 1:
+            raise SamplerError(f"micro_size must be >= 1, got {micro_size}")
+        for name, data in (("source", source), ("target", target)):
+            if len(data) < 1:
+                raise SamplerError(f"{name} dataset is empty")
+        if source.dim != target.dim:
+            raise SamplerError(f"source dim {source.dim} != target dim {target.dim}")
         self.source = source
         self.target = target
         self.micro_size = micro_size
         self.num_classes = source.num_classes
         self.epoch = epoch
         self.seed = seed
-        self.with_replacement = with_replacement
-        self.num_batches = min_count // micro_size if min_count >= micro_size else 1
+        self.num_batches = max(int(source.class_counts().min()) // micro_size, 1)
         self._emitted = 0
-        self._class_queues = []
-        self._class_refills = []
-        for c in range(self.num_classes):
-            self._class_queues.append(list(self._class_permutation(c, 0)))
-            self._class_refills.append(0)
-        self._targets = _TargetQueue(len(target), seed, epoch)
+        self._targets = _RefillQueue(lambda refill: RandomSource(
+            seed, "plan-target", epoch, refill).permutation(len(target))[::-1])
 
-    def _class_permutation(self, c: int, refill: int) -> np.ndarray:
-        rng = RandomSource(self.seed, "plan-class", self.epoch, c, refill)
+    def _class_permutations(self, c: int):
         members = np.flatnonzero(self.source.labels == c)
-        return members[rng.permutation(len(members))]
+        return lambda refill: members[RandomSource(
+            self.seed, "plan-class", self.epoch, c, refill).permutation(len(members))][::-1]
 
-    def _draw_class(self, c: int) -> list:
-        q = self._class_queues[c]
-        out = []
-        while len(out) < self.micro_size:
-            if not q:
-                if not self.with_replacement:
-                    raise SamplerError(f"class {c} queue exhausted mid-epoch")
-                self._class_refills[c] += 1
-                q.extend(self._class_permutation(c, self._class_refills[c]))
-            out.append(q.pop())
-        return out
+    def _source_indices(self) -> np.ndarray:
+        return np.concatenate([q.draw(self.micro_size) for q in self._class_queues])
 
     def __iter__(self):
         return self
@@ -140,57 +142,29 @@ class EpochPlan:
         if self._emitted >= self.num_batches:
             raise StopIteration
         self._emitted += 1
-        m = self.micro_size
-        src_idx = np.concatenate([self._draw_class(c) for c in range(self.num_classes)]) \
-            .astype(np.int64)
-        tgt_idx = self._targets.draw(m * self.num_classes)
+        src_idx = self._source_indices()
+        tgt_idx = self._targets.draw(len(src_idx))
         return TrainingBatch(
             source_x=self.source.windows[src_idx],
             source_y=self.source.labels[src_idx],
             target_x=self.target.windows[tgt_idx],
             source_indices=src_idx,
             target_indices=tgt_idx,
-            micro_size=m,
-            num_classes=self.num_classes,
+            micro_size=self.micro_size if self._blocks else None,
+            num_classes=self.num_classes if self._blocks else None,
         )
 
 
-class PlainEpochPlan:
+class PlainEpochPlan(EpochPlan):
     """Ablation control: uniformly shuffled batches, same size and count as micro plans."""
 
-    def __init__(self, source: DomainDataset, target: DomainDataset, batch_size: int,
-                 num_batches: int, seed: int, epoch: int = 0):
-        if source.labels is None:
-            raise SamplerError("source dataset must be labeled")
-        if batch_size < 1 or num_batches < 1:
-            raise SamplerError("batch_size and num_batches must be >= 1")
-        self.source = source
-        self.target = target
-        self.batch_size = batch_size
-        self.num_batches = num_batches
-        self.epoch = epoch
-        self.seed = seed
-        rng = RandomSource(seed, "plain-plan", epoch)
-        reps = -(-num_batches * batch_size // len(source))
-        queue = np.concatenate([rng.permutation(len(source)) for _ in range(reps)])
-        self._queue = queue
-        self._targets = _TargetQueue(len(target), seed, epoch)
-        self._emitted = 0
+    _blocks = False
 
-    def __iter__(self):
-        return self
+    def __init__(self, source: DomainDataset, target: DomainDataset, micro_size: int,
+                 seed: int, epoch: int = 0):
+        self._start(source, target, micro_size, seed, epoch)
+        rng = RandomSource(seed, "plain-plan", epoch)   # one stream for all its permutations
+        self._queue = _RefillQueue(lambda refill: rng.permutation(len(source)))
 
-    def __next__(self) -> TrainingBatch:
-        if self._emitted >= self.num_batches:
-            raise StopIteration
-        lo = self._emitted * self.batch_size
-        self._emitted += 1
-        src_idx = self._queue[lo:lo + self.batch_size].astype(np.int64)
-        tgt_idx = self._targets.draw(self.batch_size)
-        return TrainingBatch(
-            source_x=self.source.windows[src_idx],
-            source_y=self.source.labels[src_idx],
-            target_x=self.target.windows[tgt_idx],
-            source_indices=src_idx,
-            target_indices=tgt_idx,
-        )
+    def _source_indices(self) -> np.ndarray:
+        return self._queue.draw(self.micro_size * self.num_classes)

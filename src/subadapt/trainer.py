@@ -22,7 +22,7 @@ from .networks import ModelBundle, Classifier
 from .optim import OptimizerState, optimizer_step
 from .pipeline import DomainDataset
 from .rng import RandomSource
-from .sampler import (EpochPlan, PlainEpochPlan, TrainingBatch, compute_micro_size)
+from .sampler import EpochPlan, PlainEpochPlan, TrainingBatch, compute_micro_size
 from .tensor import Tape, Tensor, backward, paused
 
 PLATEAU_DELTA = 1e-3
@@ -82,6 +82,11 @@ class TrainerConfig:
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 
+    def micro_size_for(self, source: DomainDataset) -> int:
+        """m: micro_size if given, else the smallest source class count capped at micro_cap."""
+        return self.micro_size if self.micro_size is not None \
+            else compute_micro_size(source, self.micro_cap)
+
 
 @dataclass
 class StepRecord:
@@ -94,15 +99,17 @@ class StepRecord:
 
 @dataclass
 class TrainState:
-    opt_generator: OptimizerState
-    opt_discriminator: OptimizerState
+    """Everything a training loop carries from one step or epoch to the next."""
     opt_classifier: OptimizerState
     rng: RandomSource
+    opt_generator: OptimizerState | None = None       # None in a baseline run
+    opt_discriminator: OptimizerState | None = None
     epoch: int = 0
     step: int = 0
     noise_scale: float = 1.0
     history: list = field(default_factory=list)
     mean_discrepancy: list = field(default_factory=list)
+    epoch_means: list = field(default_factory=list)   # the plateau window, one per epoch run
     stop_reason: str = ""
     last_good: dict | None = None
     last_good_step: int = 0
@@ -184,40 +191,31 @@ def _snapshot(bundle: ModelBundle) -> dict:
     return {name: p.data.copy() for name, p in bundle.parameters().items()}
 
 
-def _check_finite(loss: Tensor, component: str, state: TrainState) -> None:
+def _update(state: TrainState, component: str, params: dict, opt: OptimizerState,
+            loss_fn) -> float:
+    """Tape loss_fn(), check the loss is finite, then one Adam step on params."""
+    with Tape() as tape:
+        loss = loss_fn()
     if not np.isfinite(loss.data).all():
         raise DivergedError(component, state.step + 1, state.last_good, state.last_good_step)
+    grads = backward(tape, loss)
+    optimizer_step(params, {n: grads[p] for n, p in params.items()}, opt)
+    return loss.item()
 
 
 def train_step(bundle: ModelBundle, batch: TrainingBatch, cfg: TrainerConfig,
                state: TrainState) -> StepRecord:
     """One critic -> classifier -> generator update on a single batch."""
-    params_d = bundle.discriminator.parameters()
-    params_c = bundle.classifier.parameters()
-    params_g = bundle.generator.parameters()
-
-    with Tape() as tape:
-        loss_d = discriminator_loss(bundle.discriminator, bundle.generator, batch, cfg,
-                                    state.rng, state.noise_scale)
-    _check_finite(loss_d, "discriminator", state)
-    grads = backward(tape, loss_d)
-    optimizer_step(params_d, {n: grads[p] for n, p in params_d.items()}, state.opt_discriminator)
-
-    with Tape() as tape:
-        loss_c = classifier_loss(bundle.classifier, bundle.generator, batch, cfg, state.rng)
-    _check_finite(loss_c, "classifier", state)
-    grads = backward(tape, loss_c)
-    optimizer_step(params_c, {n: grads[p] for n, p in params_c.items()}, state.opt_classifier)
-
-    with Tape() as tape:
-        loss_g = generator_loss(bundle.generator, bundle.discriminator, bundle.classifier,
-                                batch, cfg, state.rng, state.noise_scale)
-    _check_finite(loss_g, "generator", state)
-    grads = backward(tape, loss_g)
-    optimizer_step(params_g, {n: grads[p] for n, p in params_g.items()}, state.opt_generator)
-
+    gen, disc, cls = bundle.generator, bundle.discriminator, bundle.classifier
+    rng, scale = state.rng, state.noise_scale
+    loss_d = _update(state, "discriminator", disc.parameters(), state.opt_discriminator,
+                     lambda: discriminator_loss(disc, gen, batch, cfg, rng, scale))
+    loss_c = _update(state, "classifier", cls.parameters(), state.opt_classifier,
+                     lambda: classifier_loss(cls, gen, batch, cfg, rng))
+    loss_g = _update(state, "generator", gen.parameters(), state.opt_generator,
+                     lambda: generator_loss(gen, disc, cls, batch, cfg, rng, scale))
     state.step += 1
-    rec = StepRecord(state.step, state.epoch, loss_d.item(), loss_c.item(), loss_g.item())
+    rec = StepRecord(state.step, state.epoch, loss_d, loss_c, loss_g)
     state.history.append(rec)
     return rec
 
@@ -245,6 +243,18 @@ def _plateaued(epoch_means: list, patience: int) -> bool:
     return previous - recent < PLATEAU_DELTA
 
 
+def _run_epochs(state: TrainState, cfg: TrainerConfig, run_epoch) -> None:
+    """The epoch loop of both trainings: run_epoch(epoch) trains one epoch and returns the
+    losses the plateau rule watches; the loop stops at a plateau or at cfg.epochs."""
+    for epoch in range(cfg.epochs):
+        state.epoch = epoch
+        state.epoch_means.append(float(np.mean(run_epoch(epoch))))
+        if _plateaued(state.epoch_means, cfg.patience):
+            state.stop_reason = f"plateau after epoch {epoch + 1}"
+            return
+    state.stop_reason = "epoch budget exhausted" if cfg.epochs else "no epochs requested"
+
+
 def train(bundle: ModelBundle, source: DomainDataset, target: DomainDataset,
           cfg: TrainerConfig):
     """Adversarial adaptation loop; returns (classifier, state).
@@ -267,40 +277,28 @@ def train(bundle: ModelBundle, source: DomainDataset, target: DomainDataset,
         raise ValueError(f"classifier has {bundle.classifier.spec.num_classes} classes, "
                          f"source has {source.num_classes}")
 
-    micro = cfg.micro_size if cfg.micro_size is not None \
-        else compute_micro_size(source, cfg.micro_cap)
+    micro = cfg.micro_size_for(source)
     state = make_state(cfg)
     state.last_good = _snapshot(bundle)
-    epoch_means: list[float] = []
-    for epoch in range(cfg.epochs):
-        state.epoch = epoch
+
+    def run_epoch(epoch: int) -> list:
         state.noise_scale = (cfg.epochs - epoch) / cfg.epochs
-        if cfg.sampler == "micro":
-            plan = EpochPlan(source, target, micro, cfg.seed, epoch, cfg.with_replacement)
-        else:
-            # ablation control: same batch size and pacing, no class structure
-            min_count = int(source.class_counts().min())
-            batches = min_count // micro if min_count >= micro else 1
-            plan = PlainEpochPlan(source, target, micro * source.num_classes,
-                                  batches, cfg.seed, epoch)
-        losses_g = []
-        for batch in plan:
-            rec = train_step(bundle, batch, cfg, state)
-            losses_g.append(rec.loss_g)
+        # the plain plan is the ablation control: same batch size and pacing, no class structure
+        plan = EpochPlan(source, target, micro, cfg.seed, epoch, cfg.with_replacement) \
+            if cfg.sampler == "micro" else PlainEpochPlan(source, target, micro, cfg.seed, epoch)
+        losses_g = [train_step(bundle, batch, cfg, state).loss_g for batch in plan]
         state.mean_discrepancy.append(_mean_discrepancy(bundle, source, target, cfg, epoch))
         state.last_good, state.last_good_step = _snapshot(bundle), state.step
-        epoch_means.append(float(np.mean(losses_g)))
-        if _plateaued(epoch_means, cfg.patience):
-            state.stop_reason = f"plateau after epoch {epoch + 1}"
-            break
-    else:
-        state.stop_reason = "epoch budget exhausted" if cfg.epochs else "no epochs requested"
+        return losses_g
+
+    _run_epochs(state, cfg, run_epoch)
     return bundle.classifier, state
 
 
 def train_classifier(classifier: Classifier, data: DomainDataset, cfg: TrainerConfig,
                      batch_size: int, label: str = "supervised"):
-    """Plain supervised cross-entropy training (the transfer baselines)."""
+    """Plain supervised cross-entropy training (the transfer baselines); returns
+    (classifier, state)."""
     if data.labels is None:
         raise ValueError("supervised training needs labels")
     if classifier.spec.input_dim != data.dim:
@@ -308,27 +306,21 @@ def train_classifier(classifier: Classifier, data: DomainDataset, cfg: TrainerCo
                          f"data has {data.dim}")
     batch_size = min(batch_size, len(data))
     params = classifier.parameters()
-    opt = OptimizerState(learning_rate=cfg.lr_classifier)
-    rng = RandomSource(cfg.seed, "baseline", label)
-    history: list[StepRecord] = []
-    epoch_means: list[float] = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(data))
+    state = TrainState(opt_classifier=OptimizerState(learning_rate=cfg.lr_classifier),
+                       rng=RandomSource(cfg.seed, "baseline", label))
+
+    def run_epoch(epoch: int) -> list:
+        perm = state.rng.permutation(len(data))
         losses = []
         for lo in range(0, len(data) - batch_size + 1, batch_size):
             idx = perm[lo:lo + batch_size]
-            with Tape() as tape:
-                probs = classifier.forward(Tensor(data.windows[idx]))
-                loss = _cross_entropy(probs, data.labels[idx])
-            if not np.isfinite(loss.data).all():
-                raise DivergedError("classifier", step + 1, None)
-            grads = backward(tape, loss)
-            optimizer_step(params, {n: grads[p] for n, p in params.items()}, opt)
-            step += 1
-            history.append(StepRecord(step, epoch, 0.0, loss.item(), 0.0))
-            losses.append(loss.item())
-        epoch_means.append(float(np.mean(losses)))
-        if _plateaued(epoch_means, cfg.patience):
-            break
-    return classifier, history
+            loss = _update(state, "classifier", params, state.opt_classifier,
+                           lambda: _cross_entropy(classifier.forward(Tensor(data.windows[idx])),
+                                                  data.labels[idx]))
+            state.step += 1
+            state.history.append(StepRecord(state.step, epoch, 0.0, loss, 0.0))
+            losses.append(loss)
+        return losses
+
+    _run_epochs(state, cfg, run_epoch)
+    return classifier, state

@@ -91,6 +91,22 @@ def test_full_command_flow(workspace, capsys):
     assert "sandwich" in out
 
 
+def test_baseline_records_explain_their_stop(workspace, capsys):
+    config_path, out_dir = workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    assert main(["baselines", "--config", str(config_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    for name in ("no_transfer", "supervised"):
+        record = json.loads((out_dir / name / "record.json").read_text())
+        assert (record["epochs_run"], record["stop_reason"]) == (2, "epoch budget exhausted")
+        assert (f"{name}: {record['steps']} steps over 2 epochs (epoch budget exhausted), "
+                f"final loss ") in out
+    # no epochs leave no final loss to print
+    assert main(["baselines", "--config", str(config_path), "--set", "trainer.epochs=0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"no_transfer: 0 steps over 0 epochs (no epochs requested) -> {out_dir}" in out
+
+
 def test_evaluate_with_explicit_checkpoint(workspace, capsys):
     config_path, out_dir = workspace
     assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
@@ -354,9 +370,12 @@ def test_csv_config_prepares(csv_workspace):
     ['data.csv.schema.missing_marker=" NA "'],    # cells are stripped: it could never match
     ['data.csv.schema.missing_marker="NaN\\t"'],
     ['data.csv.schema.channel_columns=["ch1", "ch0", "ch1"]'],
+    ["data.csv.schema.channel_columns=[1, 2]"],
+    ["data.csv.schema.allowed_labels=[1]"],
 ], ids=["overlap-1.5", "sample_rate-0", "window_seconds-neg", "window-no-frames",
         "pca_fraction-2", "pca_dim-0", "pca_dim-neg", "declared-range-inverted",
-        "missing_marker-padded", "missing_marker-trailing-tab", "channel_columns-repeated"])
+        "missing_marker-padded", "missing_marker-trailing-tab", "channel_columns-repeated",
+        "channel_columns-numbers", "allowed_labels-numbers"])
 def test_csv_and_pca_ranges_are_config_errors_before_data_is_read(csv_workspace, capsys,
                                                                   overrides):
     config_path, out_dir = csv_workspace

@@ -1,4 +1,7 @@
 """Batching: class-balanced micro-blocks, queue refills, the plain control."""
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,30 +103,63 @@ def test_plain_plan_matches_size_and_count_without_balancing():
     src, tgt = labeled([40, 8, 40]), unlabeled(30)
     m = compute_micro_size(src)  # 8
     micro = EpochPlan(src, tgt, m, seed=4)
-    plain = PlainEpochPlan(src, tgt, batch_size=m * 3, num_batches=micro.num_batches, seed=4)
+    plain = PlainEpochPlan(src, tgt, m, seed=4)
     micro_batches, plain_batches = list(micro), list(plain)
     assert len(plain_batches) == len(micro_batches) == 1
     assert len(plain_batches[0]) == len(micro_batches[0]) == 24
     # plain batches follow the marginal class distribution, not the balanced one
     totals = np.zeros(3, dtype=np.int64)
     for epoch in range(30):
-        for b in PlainEpochPlan(src, tgt, 24, 1, seed=4, epoch=epoch):
+        for b in PlainEpochPlan(src, tgt, 8, seed=4, epoch=epoch):
             totals += np.bincount(b.source_y, minlength=3)
     assert totals[1] < totals[0] * 0.5  # minority is rare, as in the raw data
 
 
 def test_plain_plan_draws_whole_permutations():
-    src, tgt = labeled([5, 5]), unlabeled(5)
-    plan = PlainEpochPlan(src, tgt, batch_size=10, num_batches=2, seed=0)
-    batches = list(plan)
-    assert sorted(batches[0].source_indices.tolist()) == list(range(10))
-    assert sorted(batches[1].source_indices.tolist()) == list(range(10))
-    assert not np.array_equal(batches[0].source_indices, batches[1].source_indices)
+    # m=5 over two classes of 3: one batch of 10 rows from a 6-row source, so the
+    # queue hands out a whole permutation, then the first rows of a fresh one
+    src, tgt = labeled([3, 3]), unlabeled(5)
+    (batch,) = list(PlainEpochPlan(src, tgt, 5, seed=0))
+    assert sorted(batch.source_indices[:6].tolist()) == list(range(6))
+    assert len(set(batch.source_indices[6:].tolist())) == 4
+    assert batch.micro_size is None and batch.num_classes is None
 
 
 def test_plain_plan_validation():
     src, tgt = labeled([5, 5]), unlabeled(5)
     with pytest.raises(SamplerError):
-        PlainEpochPlan(src.unlabeled(), tgt, 2, 1, seed=0)
+        PlainEpochPlan(src.unlabeled(), tgt, 2, seed=0)
     with pytest.raises(SamplerError):
-        PlainEpochPlan(src, tgt, 0, 1, seed=0)
+        PlainEpochPlan(src, tgt, 0, seed=0)
+    with pytest.raises(SamplerError, match="target dataset is empty"):
+        PlainEpochPlan(src, tgt.take([]), 2, seed=0)
+
+
+# sha256 of every batch's source then target indices, int64 little-endian, over
+# epochs 0-2; the plans draw no floats, so the digests hold on every BLAS kernel
+STREAM_PINS = {
+    "micro": ([13, 9, 11], 3, False,
+              "dcd4cc9100d0bbdbd4a58001053aaf5082a975125fe06bf1783d0b70165ff000"),
+    "plain": ([13, 9, 11], 3, None,
+              "bb791a97122142a7151aa5a153956622b372040629298b6c87737714afbdaf11"),
+    "plain-refill": ([2, 9, 11], 10, None,
+                     "cab61c0523e7b5db9aca2e238267856bfd05c5f5aa7f37829195e3384506edd8"),
+    "micro-refill": ([2, 9, 11], 4, True,
+                     "80f718d43ec15e8f1f4b7ff8a7e4ec6b8cd45815cb1550ccbc9822865cf2a75b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_PINS))
+def test_index_streams_are_pinned(case):
+    counts, m, with_replacement, expected = STREAM_PINS[case]
+    src, tgt = labeled(counts), unlabeled(10)
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the refilling micro plan warns each epoch
+        for epoch in range(3):
+            plan = PlainEpochPlan(src, tgt, m, seed=5, epoch=epoch) if with_replacement is None \
+                else EpochPlan(src, tgt, m, seed=5, epoch=epoch, with_replacement=with_replacement)
+            for b in plan:
+                digest.update(b.source_indices.astype("<i8").tobytes())
+                digest.update(b.target_indices.astype("<i8").tobytes())
+    assert digest.hexdigest() == expected

@@ -328,8 +328,8 @@ def test_supervised_training_learns_a_separable_problem():
     data = separable_data()
     cls = Classifier(ClassifierSpec(DIM, num_classes=CLASSES, base_filters=8, seed=2))
     cfg = TrainerConfig(epochs=40, seed=2, lr_classifier=5e-3)
-    cls, history = train_classifier(cls, data, cfg, batch_size=30)
-    assert history[-1].loss_c < history[0].loss_c
+    cls, state = train_classifier(cls, data, cfg, batch_size=30)
+    assert state.history[-1].loss_c < state.history[0].loss_c
     acc = float((cls.predict(data.windows) == data.labels).mean())
     assert acc > 0.9
 
@@ -339,9 +339,9 @@ def test_supervised_training_is_deterministic():
 
     def run():
         cls = Classifier(ClassifierSpec(DIM, num_classes=CLASSES, base_filters=8, seed=3))
-        _, history = train_classifier(cls, data, TrainerConfig(epochs=3, seed=3),
-                                      batch_size=16, label="no_transfer")
-        return [r.loss_c for r in history]
+        _, state = train_classifier(cls, data, TrainerConfig(epochs=3, seed=3),
+                                    batch_size=16, label="no_transfer")
+        return [r.loss_c for r in state.history]
 
     assert run() == run()
 
@@ -360,6 +360,20 @@ def test_supervised_divergence_detection():
     data = separable_data()
     cls = Classifier(ClassifierSpec(DIM, num_classes=CLASSES, base_filters=8))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergedError):
+        with pytest.raises(DivergedError) as info:
             train_classifier(cls, data, TrainerConfig(epochs=10, lr_classifier=1e80),
                              batch_size=30)
+    assert info.value.checkpoint is None   # a baseline keeps no rescue snapshot
+    assert info.value.step >= 1
+
+
+def test_supervised_training_stops_on_plateau():
+    data = separable_data()
+    cls = Classifier(ClassifierSpec(DIM, num_classes=CLASSES, base_filters=8, seed=2))
+    # lr of ~0 freezes the classifier; only the shuffles jitter the epoch means, so the
+    # plateau rule fires a few epochs past the 2*patience history mark
+    cfg = TrainerConfig(epochs=50, patience=3, lr_classifier=1e-300)
+    _, state = train_classifier(cls, data, cfg, batch_size=30)
+    assert state.stop_reason.startswith("plateau after epoch ")
+    assert 2 * cfg.patience <= state.epoch + 1 == len(state.epoch_means) <= 10
+    assert state.step == len(state.history) == 3 * (state.epoch + 1)
