@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import harness
 from .checkpoint import CheckpointError
+from .evaluation import render_report
 from .harness import ConfigError
 from .pipeline import IngestionError, PipelineError
 from .sampler import SamplerError
@@ -49,14 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_prepare(cfg) -> int:
+def _cmd_prepare(cfg, args) -> int:
     splits = harness.prepare_run(cfg)
     counts = ", ".join(f"{k}={len(v)}" for k, v in splits.items())
     print(f"prepared {cfg.prepared_dir} ({counts}, dim={splits['source_train'].dim})")
     return EXIT_OK
 
 
-def _cmd_train(cfg) -> int:
+def _cmd_train(cfg, args) -> int:
     record = harness.train_run(cfg)
     final = record["final_losses"]
     print(f"adapted run finished: {record['steps']} steps over "
@@ -68,7 +68,7 @@ def _cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_baselines(cfg) -> int:
+def _cmd_baselines(cfg, args) -> int:
     results = harness.baselines_run(cfg)
     for name, record in results.items():
         final = record["final_loss"]
@@ -80,8 +80,7 @@ def _cmd_baselines(cfg) -> int:
 
 def _cmd_evaluate(cfg, args) -> int:
     rep = harness.evaluate_run(cfg, args.checkpoint, args.run)
-    where = Path(args.checkpoint).parent if args.checkpoint else cfg.run_dir(args.run)
-    print((where / "report.txt").read_text(), end="")
+    print(render_report(rep), end="")
     print(f"weighted F1: {rep['weighted_f1']:.4f}")
     comparison = cfg.output_dir / "comparison.csv"
     if comparison.exists():
@@ -95,7 +94,7 @@ def _cmd_synth(cfg, args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(cfg) -> int:
+def _cmd_report(cfg, args) -> int:
     shown = False
     for name in harness.RUN_NAMES:
         path = cfg.run_dir(name) / "report.txt"
@@ -114,6 +113,10 @@ def _cmd_report(cfg) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"prepare": _cmd_prepare, "train": _cmd_train, "baselines": _cmd_baselines,
+             "evaluate": _cmd_evaluate, "synth": _cmd_synth, "report": _cmd_report}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -123,19 +126,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "prepare":
-            return _cmd_prepare(cfg)
-        if args.command == "train":
-            return _cmd_train(cfg)
-        if args.command == "baselines":
-            return _cmd_baselines(cfg)
-        if args.command == "evaluate":
-            return _cmd_evaluate(cfg, args)
-        if args.command == "synth":
-            return _cmd_synth(cfg, args)
-        if args.command == "report":
-            return _cmd_report(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,8 +33,8 @@ from .networks import (Classifier, ClassifierSpec, DiscriminatorSpec, GeneratorS
 from .pipeline import (CsvSchema, DomainDataset, PcaSize, PipelineError, RawRecording,
                        SplitSpec, SynthSpec, Windowing, apply_minmax, apply_pca,
                        declared_minmax, fit_minmax, fit_pca, generate_synthetic_pair,
-                       impute_missing, load_recordings, rotation_mixing, save_recordings_csv,
-                       segment_windows, split_domain)
+                       impute_missing, load_recordings, read_json, rotation_mixing,
+                       save_recordings_csv, segment_windows, split_domain)
 from .trainer import DivergedError, TrainerConfig, train, train_classifier
 
 SPLIT_NAMES = ("source_train", "source_val", "source_test",
@@ -313,10 +313,6 @@ def _hash_splits(prepared: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_record(directory: Path, payload: dict) -> None:
-    (directory / "record.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _prepare_synthetic(cfg: RunConfig):
     source, target = generate_synthetic_pair(cfg.synth)
     return split_domain(source, cfg.preprocessing.split) + split_domain(target, cfg.preprocessing.split)
@@ -396,16 +392,9 @@ def load_prepared(cfg: RunConfig) -> dict:
     return {name: DomainDataset.load(out / name) for name in SPLIT_NAMES}
 
 
-def _read_json(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise PipelineError(f"{path} is damaged: {e}") from None
-
-
 def _splits_sha256(cfg: RunConfig) -> str | None:
     """The splits' sha256 that prepare.json recorded."""
-    return _read_json(cfg.prepared_dir / "prepare.json").get("splits_sha256")
+    return read_json(cfg.prepared_dir / "prepare.json").get("splits_sha256")
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +408,31 @@ def _losses_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _record_run(cfg: RunConfig, name: str, state, started: float, trained_on: str | None,
+                artifacts, **own) -> dict:
+    """Write and return run `name`'s record.json: the keys every run shares, the sha256 of
+    each file named in `artifacts`, and the run's `own` keys."""
+    run_dir = cfg.run_dir(name)
+    record = {
+        "run": name,
+        "config": cfg.raw,
+        "steps": state.step,
+        "epochs_run": len(state.epoch_means),
+        "stop_reason": state.stop_reason,
+        **own,
+        "artifacts": {f: _sha256(run_dir / f) for f in artifacts},
+        "splits_sha256": trained_on,
+        "duration_seconds": time.time() - started,
+    }
+    (run_dir / "record.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    return record
+
+
 def train_run(cfg: RunConfig) -> dict:
     """Adversarial adaptation; writes adapted/{checkpoint.json,losses.csv,record.json}."""
     started = time.time()
     splits = load_prepared(cfg)
+    trained_on = _splits_sha256(cfg)   # read before training: what the run is trained on
     source = splits["source_train"]
     target = splits["target_train"].unlabeled()   # evaluation labels never reach training
     bundle = build_bundle(*cfg.networks.specs(source.dim, source.num_classes, cfg.seed))
@@ -438,32 +448,20 @@ def train_run(cfg: RunConfig) -> dict:
         raise
 
     run_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = run_dir / "checkpoint.json"
-    save_bundle(bundle, ckpt, seed=cfg.seed, step_count=state.step)
+    save_bundle(bundle, run_dir / "checkpoint.json", seed=cfg.seed, step_count=state.step)
     (run_dir / "losses.csv").write_text(_losses_csv(state.history))
-    record = {
-        "run": "adapted",
-        "config": cfg.raw,
-        "steps": state.step,
-        "epochs_run": len(state.epoch_means),
-        "stop_reason": state.stop_reason,
-        "mean_discrepancy": state.mean_discrepancy,
-        "final_losses": None if not state.history else {
-            "loss_d": state.history[-1].loss_d,
-            "loss_c": state.history[-1].loss_c,
-            "loss_g": state.history[-1].loss_g},
-        "artifacts": {"checkpoint.json": _sha256(ckpt),
-                      "losses.csv": _sha256(run_dir / "losses.csv")},
-        "splits_sha256": _splits_sha256(cfg),
-        "duration_seconds": time.time() - started,
-    }
-    _write_record(run_dir, record)
-    return record
+    last = state.history[-1] if state.history else None
+    return _record_run(
+        cfg, "adapted", state, started, trained_on, ("checkpoint.json", "losses.csv"),
+        mean_discrepancy=state.mean_discrepancy,
+        final_losses=None if last is None else {
+            "loss_d": last.loss_d, "loss_c": last.loss_c, "loss_g": last.loss_g})
 
 
 def baselines_run(cfg: RunConfig) -> dict:
     """The transfer sandwich bounds: source-only and target-supervised classifiers."""
     splits = load_prepared(cfg)
+    trained_on = _splits_sha256(cfg)
     results = {}
     jobs = {"no_transfer": splits["source_train"], "supervised": splits["target_train"]}
     if jobs["supervised"].labels is None:
@@ -476,21 +474,11 @@ def baselines_run(cfg: RunConfig) -> dict:
         _, state = train_classifier(cls, data, cfg.trainer, batch_size, label=name)
         run_dir = cfg.run_dir(name)
         run_dir.mkdir(parents=True, exist_ok=True)
-        ckpt = run_dir / "checkpoint.json"
-        save_checkpoint({"classifier": cls}, ckpt, seed=cfg.seed, step_count=state.step)
-        record = {
-            "run": name,
-            "config": cfg.raw,
-            "steps": state.step,
-            "epochs_run": len(state.epoch_means),
-            "stop_reason": state.stop_reason,
-            "final_loss": state.history[-1].loss_c if state.history else None,
-            "artifacts": {"checkpoint.json": _sha256(ckpt)},
-            "splits_sha256": _splits_sha256(cfg),
-            "duration_seconds": time.time() - started,
-        }
-        _write_record(run_dir, record)
-        results[name] = record
+        save_checkpoint({"classifier": cls}, run_dir / "checkpoint.json", seed=cfg.seed,
+                        step_count=state.step)
+        results[name] = _record_run(
+            cfg, name, state, started, trained_on, ("checkpoint.json",),
+            final_loss=state.history[-1].loss_c if state.history else None)
     return results
 
 
@@ -507,7 +495,7 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
         raise PipelineError(f"checkpoint not found: {checkpoint_path}")
     record = checkpoint_path.parent / "record.json"
     if record.exists():
-        trained_on = _read_json(record).get("splits_sha256")
+        trained_on = read_json(record).get("splits_sha256")
         if trained_on is not None and trained_on != _splits_sha256(cfg):
             raise PipelineError(f"{checkpoint_path} was trained on other prepared splits than "
                                 f"those under {cfg.prepared_dir}; train it again")
@@ -522,18 +510,16 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
     rep = ev.report(ev.confusion(test.labels, preds, test.num_classes),
                     class_names=test.label_names)
     run_dir = checkpoint_path.parent
-    ev.save_report(rep, run_dir / "report.json", run_dir / "report.txt")
+    (run_dir / "report.json").write_text(json.dumps(rep, sort_keys=True, indent=2) + "\n")
+    (run_dir / "report.txt").write_text(ev.render_report(rep))
     refresh_comparison(cfg)
-    return ev.report_to_dict(rep)
+    return rep
 
 
 def refresh_comparison(cfg: RunConfig):
     """Rebuild comparison.csv from whichever standard runs have reports."""
-    named = []
-    for name in RUN_NAMES:
-        path = cfg.run_dir(name) / "report.json"
-        if path.exists():
-            named.append((name, ev.report_from_dict(json.loads(path.read_text()))))
+    named = [(name, read_json(cfg.run_dir(name) / "report.json")) for name in RUN_NAMES
+             if (cfg.run_dir(name) / "report.json").exists()]
     if len(named) < 2:
         return None
     comparison = ev.compare_runs(named)

@@ -32,6 +32,25 @@ class PipelineError(ValueError):
     """A transform's preconditions are not met."""
 
 
+def read_json(path) -> dict:
+    """The JSON object stored at `path`; a damaged file or another JSON value is a
+    PipelineError that names the file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as e:   # JSONDecodeError, UnicodeDecodeError
+        raise PipelineError(f"{path} is damaged: {e}") from None
+    if not isinstance(value, dict):
+        raise PipelineError(f"{path} is damaged: not a JSON object")
+    return value
+
+
+def _read_array(path: Path) -> np.ndarray:
+    try:
+        return np.load(path)
+    except (ValueError, EOFError) as e:   # a cut-short or foreign .npy file
+        raise PipelineError(f"{path} is damaged: {e}") from None
+
+
 def half_up(x: float) -> int:
     """Round half away from zero for non-negative x (0.5 -> 1, 1.5 -> 2, 2.5 -> 3)."""
     return int(math.floor(x + 0.5))
@@ -376,10 +395,10 @@ class DomainDataset:
     @staticmethod
     def load(directory) -> "DomainDataset":
         directory = Path(directory)
-        meta = json.loads((directory / "meta.json").read_text())
-        labels = np.load(directory / "labels.npy") if meta["labeled"] else None
+        meta = read_json(directory / "meta.json")
+        labels = _read_array(directory / "labels.npy") if meta["labeled"] else None
         return DomainDataset(
-            subject_id=meta["subject_id"], windows=np.load(directory / "windows.npy"),
+            subject_id=meta["subject_id"], windows=_read_array(directory / "windows.npy"),
             labels=labels, num_classes=meta["num_classes"],
             label_names=tuple(meta["label_names"]) if meta["label_names"] else None)
 

@@ -223,15 +223,34 @@ def test_evaluate_after_prepare_with_other_seed_is_a_data_error(workspace, capsy
     assert main(["evaluate", "--config", str(config_path), "--run", "supervised"]) == EXIT_OK
 
 
-@pytest.mark.parametrize("damaged", ["adapted/record.json", "prepared/prepare.json"])
-def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, damaged):
+@pytest.mark.parametrize("damaged,content,command", [
+    ("adapted/record.json", None, ["evaluate"]),
+    ("prepared/prepare.json", None, ["evaluate"]),
+    ("adapted/record.json", b"[1]\n", ["evaluate"]),
+    ("prepared/prepare.json", b"[1, 2]\n", ["train"]),
+    ("prepared/source_val/meta.json", None, ["train"]),
+    ("prepared/target_test/windows.npy", "half", ["evaluate"]),
+    ("prepared/source_train/labels.npy", None, ["train"]),
+    ("no_transfer/report.json", None, ["report"]),
+    ("no_transfer/report.json", None, ["evaluate", "--run", "adapted"]),
+], ids=["adapted/record.json", "prepared/prepare.json", "record-not-an-object",
+        "prepare-not-an-object", "meta.json", "windows.npy-data-cut", "labels.npy-header-cut",
+        "report.json-report", "report.json-evaluate"])
+def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, damaged,
+                                                            content, command):
     config_path, out_dir = workspace
     assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
     assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    if damaged.startswith("no_transfer/"):
+        assert main(["baselines", "--config", str(config_path)]) == EXIT_OK
+        assert main(["evaluate", "--config", str(config_path), "--run", "no_transfer"]) == EXIT_OK
     capsys.readouterr()
     path = out_dir / damaged
-    path.write_text(path.read_text()[:20])
-    assert main(["evaluate", "--config", str(config_path)]) == EXIT_DATA
+    data = path.read_bytes()
+    # cut to 20 bytes by default; "half" keeps a whole .npy header but half the data
+    path.write_bytes(data[:20] if content is None else
+                     data[:len(data) // 2] if content == "half" else content)
+    assert main([command[0], "--config", str(config_path), *command[1:]]) == EXIT_DATA
     assert str(path) in _one_data_error(capsys)
 
 
