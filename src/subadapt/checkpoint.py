@@ -14,6 +14,7 @@ import numpy as np
 
 from .networks import (Classifier, ClassifierSpec, Discriminator, DiscriminatorSpec,
                        Generator, GeneratorSpec, ModelBundle)
+from .pipeline import PipelineError, read_json
 
 FORMAT_NAME = "subadapt-checkpoint"
 FORMAT_VERSION = 1
@@ -21,10 +22,6 @@ FORMAT_VERSION = 1
 _BUILDERS = {net_cls.kind: (spec_cls, net_cls) for spec_cls, net_cls in (
     (GeneratorSpec, Generator), (DiscriminatorSpec, Discriminator), (ClassifierSpec, Classifier))}
 _SPEC_FIELDS = {kind: tuple(f.name for f in fields(spec)) for kind, (spec, _) in _BUILDERS.items()}
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file is damaged, foreign, or does not fit its architecture."""
 
 
 def save_checkpoint(models: dict, path, seed: int = 0, step_count: int = 0) -> None:
@@ -44,19 +41,16 @@ def save_checkpoint(models: dict, path, seed: int = 0, step_count: int = 0) -> N
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns ({name: rebuilt network}, {"seed": ..., "step_count": ...}); CheckpointError
-    for a file that is not JSON, not this format, or does not fit its architecture."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
-        raise CheckpointError(f"{path}: damaged checkpoint ({e})") from e
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
-        raise CheckpointError(f"{path}: not a {FORMAT_NAME} file")
+    """Returns ({name: rebuilt network}, {"seed": ..., "step_count": ...}); PipelineError
+    for a file that is not a JSON object, not this format, or does not fit its architecture."""
+    payload = read_json(path)
+    if payload.get("format") != FORMAT_NAME:
+        raise PipelineError(f"{path}: not a {FORMAT_NAME} file")
     if payload.get("version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+        raise PipelineError(f"{path}: unsupported checkpoint version {payload.get('version')}")
     meta = {"seed": payload.get("seed"), "step_count": payload.get("step_count")}
     if not isinstance(payload.get("models"), dict) or not all(type(v) is int for v in meta.values()):
-        raise CheckpointError(f"{path}: damaged checkpoint header")
+        raise PipelineError(f"{path}: damaged checkpoint header")
     return {name: _rebuild(entry, f"{path}: model {name!r}")
             for name, entry in payload["models"].items()}, meta
 
@@ -66,21 +60,21 @@ def _rebuild(entry, where: str):
     spec = entry.get("spec") if kind in _BUILDERS else None
     if not (isinstance(spec, dict) and set(spec) == set(_SPEC_FIELDS[kind])
             and all(type(v) is int for v in spec.values())):
-        raise CheckpointError(f"{where} has an unknown kind or a damaged spec")
+        raise PipelineError(f"{where} has an unknown kind or a damaged spec")
     spec_cls, net_cls = _BUILDERS[kind]
     try:
         net = net_cls(spec_cls(**spec))
     except ValueError as e:  # the spec's own range checks
-        raise CheckpointError(f"{where}: {e}") from e
+        raise PipelineError(f"{where}: {e}") from e
     params, stored = net.parameters(), entry.get("parameters")
     if not isinstance(stored, dict) or set(stored) != set(params):
-        raise CheckpointError(f"{where}: parameter names do not match architecture")
+        raise PipelineError(f"{where}: parameter names do not match architecture")
     for pname, p in params.items():
         rec = stored[pname]
         if not (isinstance(rec, dict) and rec.get("shape") == list(p.data.shape)
                 and isinstance(rec.get("values"), list) and len(rec["values"]) == p.data.size
                 and all(type(v) in (int, float) for v in rec["values"])):
-            raise CheckpointError(f"{where}: parameter {pname!r} does not fit shape {p.data.shape}")
+            raise PipelineError(f"{where}: parameter {pname!r} does not fit shape {p.data.shape}")
         p.data = np.asarray(rec["values"], dtype=np.float64).reshape(p.data.shape)
     return net
 

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 training divergence.
+Exit codes: 0 success, 2 config error (an unreadable config file too), 3 data
+error (an input or stored file missing, damaged, short of a key or mismatched, or
+a path the file system refuses), 4 training divergence; each error is one line.
+`evaluate` and `report` compare only the runs trained on the current splits.
 """
 from __future__ import annotations
 
@@ -9,11 +11,9 @@ import argparse
 import sys
 
 from . import harness
-from .checkpoint import CheckpointError
 from .evaluation import render_report
 from .harness import ConfigError
-from .pipeline import IngestionError, PipelineError
-from .sampler import SamplerError
+from .pipeline import PipelineError
 from .trainer import DivergedError
 
 EXIT_OK = 0
@@ -121,16 +121,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = harness.load_config(args.config, args.set)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IngestionError, PipelineError, SamplerError, CheckpointError, FileNotFoundError) as e:
+    except (PipelineError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except DivergedError as e:

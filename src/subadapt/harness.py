@@ -8,7 +8,7 @@ config["output_dir"]:
     adapted/         checkpoint.json, losses.csv, record.json (+ report.*)
     no_transfer/     checkpoint.json, record.json (+ report.*)
     supervised/      checkpoint.json, record.json (+ report.*)
-    comparison.csv   once at least two runs have reports
+    comparison.csv   once at least two runs trained on the current splits have reports
 
 Reruns with the same config and seed are byte-identical for datasets,
 checkpoints and loss CSVs (records carry wall-clock durations and differ).
@@ -291,6 +291,8 @@ def load_config(path, assignments=None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    except (OSError, ValueError) as e:   # a directory, an unreadable file, bytes not text
+        raise ConfigError(f"cannot read config file {path}: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return resolve_config(apply_overrides(raw, assignments))
@@ -397,6 +399,12 @@ def _splits_sha256(cfg: RunConfig) -> str | None:
     return read_json(cfg.prepared_dir / "prepare.json").get("splits_sha256")
 
 
+def _trained_on(run_dir: Path) -> str | None:
+    """The splits' sha256 that the run's record.json names; None without a record."""
+    record = run_dir / "record.json"
+    return read_json(record).get("splits_sha256") if record.exists() else None
+
+
 # ---------------------------------------------------------------------------
 # training commands
 
@@ -410,9 +418,11 @@ def _losses_csv(history) -> str:
 
 def _record_run(cfg: RunConfig, name: str, state, started: float, trained_on: str | None,
                 artifacts, **own) -> dict:
-    """Write and return run `name`'s record.json: the keys every run shares, the sha256 of
-    each file named in `artifacts`, and the run's `own` keys."""
+    """Write and return run `name`'s record.json (the keys every run shares, the sha256 of
+    each file in `artifacts`, the run's `own` keys); drop the replaced checkpoint's report."""
     run_dir = cfg.run_dir(name)
+    for stale in ("report.json", "report.txt"):
+        (run_dir / stale).unlink(missing_ok=True)
     record = {
         "run": name,
         "config": cfg.raw,
@@ -493,12 +503,10 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
     checkpoint_path = Path(checkpoint_path)
     if not checkpoint_path.exists():
         raise PipelineError(f"checkpoint not found: {checkpoint_path}")
-    record = checkpoint_path.parent / "record.json"
-    if record.exists():
-        trained_on = read_json(record).get("splits_sha256")
-        if trained_on is not None and trained_on != _splits_sha256(cfg):
-            raise PipelineError(f"{checkpoint_path} was trained on other prepared splits than "
-                                f"those under {cfg.prepared_dir}; train it again")
+    trained_on = _trained_on(checkpoint_path.parent)
+    if trained_on is not None and trained_on != _splits_sha256(cfg):
+        raise PipelineError(f"{checkpoint_path} was trained on other prepared splits than "
+                            f"those under {cfg.prepared_dir}; train it again")
     models, _ = load_checkpoint(checkpoint_path)
     if "classifier" not in models:
         raise PipelineError(f"{checkpoint_path} holds no classifier")
@@ -517,13 +525,19 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
 
 
 def refresh_comparison(cfg: RunConfig):
-    """Rebuild comparison.csv from whichever standard runs have reports."""
-    named = [(name, read_json(cfg.run_dir(name) / "report.json")) for name in RUN_NAMES
-             if (cfg.run_dir(name) / "report.json").exists()]
+    """Rebuild comparison.csv from reports of runs on the current splits; drop it under two."""
+    scored = [name for name in RUN_NAMES if (cfg.run_dir(name) / "report.json").exists()]
+    if scored:   # `report` may run before `prepare`; with no report, no prepare.json
+        current = _splits_sha256(cfg)
+        scored = [name for name in scored if _trained_on(cfg.run_dir(name)) in (None, current)]
+    named = [(name, read_json(cfg.run_dir(name) / "report.json", "total", "weighted_f1"))
+             for name in scored]
+    path = cfg.output_dir / "comparison.csv"
     if len(named) < 2:
+        path.unlink(missing_ok=True)
         return None
     comparison = ev.compare_runs(named)
-    (cfg.output_dir / "comparison.csv").write_text(comparison.to_csv())
+    path.write_text(comparison.to_csv())
     return comparison
 
 

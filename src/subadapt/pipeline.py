@@ -24,23 +24,23 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .rng import RandomSource
 
 
-class IngestionError(ValueError):
-    """A source file violates the CSV contract."""
-
-
 class PipelineError(ValueError):
-    """A transform's preconditions are not met."""
+    """Input data or a stored file violates its contract, or a transform's preconditions
+    are not met."""
 
 
-def read_json(path) -> dict:
-    """The JSON object stored at `path`; a damaged file or another JSON value is a
-    PipelineError that names the file."""
+def read_json(path, *keys) -> dict:
+    """The JSON object stored at `path`; a damaged file, another JSON value or an object
+    without one of `keys` is a PipelineError that names the file."""
     try:
         value = json.loads(Path(path).read_text())
     except ValueError as e:   # JSONDecodeError, UnicodeDecodeError
         raise PipelineError(f"{path} is damaged: {e}") from None
     if not isinstance(value, dict):
         raise PipelineError(f"{path} is damaged: not a JSON object")
+    for key in keys:
+        if key not in value:
+            raise PipelineError(f"{path} is damaged: no {key!r} key")
     return value
 
 
@@ -120,85 +120,88 @@ def load_recordings(path, schema: CsvSchema, sample_rate: float) -> list:
     row error is raised, so the first error in file order is the one reported.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        for col in (schema.subject_column, schema.label_column):
-            if col not in header:
-                raise IngestionError(f"{path}: missing required column {col!r}")
-        subj_i = header.index(schema.subject_column)
-        label_i = header.index(schema.label_column)
-        if schema.channel_columns is None:
-            channel_cols = [h for h in header if h not in (schema.subject_column, schema.label_column)]
-        else:
-            channel_cols = list(schema.channel_columns)
-            for col in channel_cols:
-                if col not in header:
-                    raise IngestionError(f"{path}: missing channel column {col!r}")
-        if not channel_cols:
-            raise IngestionError(f"{path}: no channel columns")
-        chan_is = [header.index(c) for c in channel_cols]
-        # itemgetter of one index returns the cell itself, not a 1-tuple
-        pick = operator.itemgetter(*chan_is) if len(chan_is) > 1 else lambda row: (row[chan_is[0]],)
-        missing = {schema.missing_marker: math.nan}
-
-        labels: dict[str, list] = {}    # subject -> label per row, in row order
-        blocks: dict[str, list] = {}    # subject -> [rows, channels] frame blocks, in row order
-        labels_seen: list[str] = []
-        cells, row_subjects, row_lines = [], [], []   # the pending block: stripped cells
-
-        def convert():
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                values = np.array(list(map(missing.get, cells, cells)), dtype=np.float64)
-            except ValueError:
-                for i, cell in enumerate(cells):
-                    try:
-                        float(missing.get(cell, cell))
-                    except ValueError:
-                        row, col = divmod(i, len(chan_is))
-                        raise IngestionError(
-                            f"{path}:{row_lines[row]}: channel {channel_cols[col]!r} has "
-                            f"non-numeric value {cell!r}") from None
-                raise
-            values = values.reshape(-1, len(chan_is))
-            # numbered, since numpy string arrays drop trailing NULs ("s" == "s\0")
-            number = {subject: i for i, subject in enumerate(labels)}
-            keys = np.array(list(map(number.__getitem__, row_subjects)))
-            for subject in dict.fromkeys(row_subjects):
-                blocks.setdefault(subject, []).append(values[keys == number[subject]])
-            del cells[:], row_subjects[:], row_lines[:]
+                header = next(reader)
+            except StopIteration:
+                raise PipelineError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            for col in (schema.subject_column, schema.label_column):
+                if col not in header:
+                    raise PipelineError(f"{path}: missing required column {col!r}")
+            subj_i = header.index(schema.subject_column)
+            label_i = header.index(schema.label_column)
+            if schema.channel_columns is None:
+                channel_cols = [h for h in header if h not in (schema.subject_column, schema.label_column)]
+            else:
+                channel_cols = list(schema.channel_columns)
+                for col in channel_cols:
+                    if col not in header:
+                        raise PipelineError(f"{path}: missing channel column {col!r}")
+            if not channel_cols:
+                raise PipelineError(f"{path}: no channel columns")
+            chan_is = [header.index(c) for c in channel_cols]
+            # itemgetter of one index returns the cell itself, not a 1-tuple
+            pick = operator.itemgetter(*chan_is) if len(chan_is) > 1 else lambda row: (row[chan_is[0]],)
+            missing = {schema.missing_marker: math.nan}
 
-        def row_error(message):
+            labels: dict[str, list] = {}    # subject -> label per row, in row order
+            blocks: dict[str, list] = {}    # subject -> [rows, channels] frame blocks, in row order
+            labels_seen: list[str] = []
+            cells, row_subjects, row_lines = [], [], []   # the pending block: stripped cells
+
+            def convert():
+                try:
+                    values = np.array(list(map(missing.get, cells, cells)), dtype=np.float64)
+                except ValueError:
+                    for i, cell in enumerate(cells):
+                        try:
+                            float(missing.get(cell, cell))
+                        except ValueError:
+                            row, col = divmod(i, len(chan_is))
+                            raise PipelineError(
+                                f"{path}:{row_lines[row]}: channel {channel_cols[col]!r} has "
+                                f"non-numeric value {cell!r}") from None
+                    raise
+                values = values.reshape(-1, len(chan_is))
+                # numbered, since numpy string arrays drop trailing NULs ("s" == "s\0")
+                number = {subject: i for i, subject in enumerate(labels)}
+                keys = np.array(list(map(number.__getitem__, row_subjects)))
+                for subject in dict.fromkeys(row_subjects):
+                    blocks.setdefault(subject, []).append(values[keys == number[subject]])
+                del cells[:], row_subjects[:], row_lines[:]
+
+            def row_error(message):
+                if cells:
+                    convert()
+                return PipelineError(message)
+
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise row_error(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+                subject = row[subj_i].strip()
+                label = row[label_i].strip()
+                if schema.allowed_labels is not None and label not in schema.allowed_labels:
+                    raise row_error(f"{path}:{lineno}: unknown label {label!r}")
+                if label not in labels_seen:
+                    labels_seen.append(label)
+                labels.setdefault(subject, []).append(label)
+                cells.extend(map(str.strip, pick(row)))
+                row_subjects.append(subject)
+                row_lines.append(lineno)
+                if len(cells) >= _CELLS_PER_BLOCK:
+                    convert()
             if cells:
                 convert()
-            return IngestionError(message)
-
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise row_error(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            subject = row[subj_i].strip()
-            label = row[label_i].strip()
-            if schema.allowed_labels is not None and label not in schema.allowed_labels:
-                raise row_error(f"{path}:{lineno}: unknown label {label!r}")
-            if label not in labels_seen:
-                labels_seen.append(label)
-            labels.setdefault(subject, []).append(label)
-            cells.extend(map(str.strip, pick(row)))
-            row_subjects.append(subject)
-            row_lines.append(lineno)
-            if len(cells) >= _CELLS_PER_BLOCK:
-                convert()
-        if cells:
-            convert()
+    except UnicodeDecodeError as e:
+        raise PipelineError(f"{path}: not a text file ({e})") from None
 
     if not labels:
-        raise IngestionError(f"{path}: no data rows")
+        raise PipelineError(f"{path}: no data rows")
     if schema.allowed_labels is not None:
         label_names = tuple(schema.allowed_labels)
     else:
@@ -395,7 +398,8 @@ class DomainDataset:
     @staticmethod
     def load(directory) -> "DomainDataset":
         directory = Path(directory)
-        meta = read_json(directory / "meta.json")
+        meta = read_json(directory / "meta.json", "subject_id", "num_classes", "label_names",
+                         "labeled")
         labels = _read_array(directory / "labels.npy") if meta["labeled"] else None
         return DomainDataset(
             subject_id=meta["subject_id"], windows=_read_array(directory / "windows.npy"),

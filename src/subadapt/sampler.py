@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import DomainDataset
+from .pipeline import DomainDataset, PipelineError
 from .rng import RandomSource
-
-
-class SamplerError(ValueError):
-    pass
 
 
 @dataclass
@@ -43,11 +39,11 @@ class TrainingBatch:
 def compute_micro_size(source: DomainDataset, cap: int = 32) -> int:
     """Micro-block size m: the smallest per-class sample count, capped."""
     if cap < 1:
-        raise SamplerError(f"cap must be >= 1, got {cap}")
+        raise PipelineError(f"cap must be >= 1, got {cap}")
     counts = source.class_counts()
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        raise SamplerError(f"classes with no samples: {empty.tolist()}")
+        raise PipelineError(f"classes with no samples: {empty.tolist()}")
     return int(min(counts.min(), cap))
 
 
@@ -92,11 +88,11 @@ class EpochPlan:
         counts = source.class_counts()
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            raise SamplerError(f"classes with no samples: {empty.tolist()}")
+            raise PipelineError(f"classes with no samples: {empty.tolist()}")
         min_count = int(counts.min())
         if min_count < micro_size:
             if not with_replacement:
-                raise SamplerError(
+                raise PipelineError(
                     f"smallest class has {min_count} samples, fewer than micro_size "
                     f"{micro_size}; enable with_replacement to refill")
             warnings.warn(f"smallest class has {min_count} < m={micro_size} samples; "
@@ -108,14 +104,14 @@ class EpochPlan:
                seed: int, epoch: int) -> None:
         """The checks, batch count and target queue that both plans share."""
         if source.labels is None:
-            raise SamplerError("source dataset must be labeled")
+            raise PipelineError("source dataset must be labeled")
         if micro_size < 1:
-            raise SamplerError(f"micro_size must be >= 1, got {micro_size}")
+            raise PipelineError(f"micro_size must be >= 1, got {micro_size}")
         for name, data in (("source", source), ("target", target)):
             if len(data) < 1:
-                raise SamplerError(f"{name} dataset is empty")
+                raise PipelineError(f"{name} dataset is empty")
         if source.dim != target.dim:
-            raise SamplerError(f"source dim {source.dim} != target dim {target.dim}")
+            raise PipelineError(f"source dim {source.dim} != target dim {target.dim}")
         self.source = source
         self.target = target
         self.micro_size = micro_size

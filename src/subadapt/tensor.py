@@ -17,11 +17,7 @@ import numpy as np
 
 
 class ShapeError(ValueError):
-    """Operand shapes violate an operation's contract."""
-
-
-class GraphError(ValueError):
-    """Differentiation request violates the tape contract (e.g. non-scalar loss)."""
+    """Operand shapes violate an operation's contract (a non-scalar loss among them)."""
 
 
 _TAPES: list = []   # active tapes, innermost last; None while recording is paused
@@ -137,7 +133,7 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     gradients.
     """
     if loss.data.size != 1:
-        raise GraphError(f"loss must be scalar, got shape {loss.data.shape}")
+        raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for op in reversed(tape.ops):
         out_grad = flowing.get(id(op.output))

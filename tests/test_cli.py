@@ -6,7 +6,7 @@ import pytest
 
 from subadapt.checkpoint import load_checkpoint
 from subadapt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
-from subadapt.harness import load_config, train_run
+from subadapt.harness import RUN_NAMES, load_config, train_run
 from subadapt.trainer import DivergedError
 
 
@@ -233,9 +233,11 @@ def test_evaluate_after_prepare_with_other_seed_is_a_data_error(workspace, capsy
     ("prepared/source_train/labels.npy", None, ["train"]),
     ("no_transfer/report.json", None, ["report"]),
     ("no_transfer/report.json", None, ["evaluate", "--run", "adapted"]),
+    ("no_transfer/report.json", b"{}\n", ["report"]),
+    ("prepared/target_test/meta.json", b"{}\n", ["evaluate"]),
 ], ids=["adapted/record.json", "prepared/prepare.json", "record-not-an-object",
         "prepare-not-an-object", "meta.json", "windows.npy-data-cut", "labels.npy-header-cut",
-        "report.json-report", "report.json-evaluate"])
+        "report.json-report", "report.json-evaluate", "report.json-no-keys", "meta.json-no-keys"])
 def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, damaged,
                                                             content, command):
     config_path, out_dir = workspace
@@ -252,6 +254,66 @@ def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, d
                      data[:len(data) // 2] if content == "half" else content)
     assert main([command[0], "--config", str(config_path), *command[1:]]) == EXIT_DATA
     assert str(path) in _one_data_error(capsys)
+
+
+def test_comparison_leaves_out_runs_trained_on_other_splits(workspace, capsys):
+    config_path, out_dir = workspace
+    config = ["--config", str(config_path)]
+    for command in (["prepare"], ["train"], ["baselines"],
+                    *(["evaluate", "--run", run] for run in RUN_NAMES)):
+        assert main([*command, *config]) == EXIT_OK
+    assert (out_dir / "comparison.csv").exists()
+    # other splits, with another test-set size: the baselines' reports are stale now
+    config += ["--set", "data.synthetic.class_counts=[16,16]"]
+    for command in (["prepare"], ["train"], ["evaluate", "--run", "adapted"], ["report"]):
+        assert main([*command, *config]) == EXIT_OK
+    assert not (out_dir / "comparison.csv").exists()
+    # retraining drops a run's report until it is scored again
+    assert main(["baselines", *config]) == EXIT_OK
+    assert not (out_dir / "supervised" / "report.json").exists()
+    assert main(["evaluate", "--run", "no_transfer", *config]) == EXIT_OK
+    table = (out_dir / "comparison.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in table[1:]] == ["no_transfer", "adapted"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("case,code", [
+    ("csv-path-a-directory", EXIT_DATA),
+    ("output_dir-a-file", EXIT_DATA),
+    ("synth-out-under-a-file", EXIT_DATA),
+    ("csv-not-utf8", EXIT_DATA),
+    ("config-a-directory", EXIT_CONFIG),
+    ("config-not-utf8", EXIT_CONFIG),
+])
+def test_unreadable_paths_are_one_line_errors(workspace, capsys, case, code):
+    config_path, _ = workspace
+    root = config_path.parent
+    binary = root / "binary"
+    binary.write_bytes(b"subject,label,a\n\xff\xfe,w,1\n")
+
+    def csv_config(csv_path):
+        config = json.loads(config_path.read_text())
+        config["data"] = {"kind": "csv", "csv": {
+            "path": str(csv_path), "sample_rate": 4.0, "source_subject": "source",
+            "target_subject": "target", "window_seconds": 1.0}}
+        path = root / "csv.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    argv = {
+        "csv-path-a-directory": lambda: ["prepare", "--config", csv_config(root)],
+        "output_dir-a-file": lambda: ["prepare", "--config", config_path,
+                                      "--set", f"output_dir={config_path}"],
+        "synth-out-under-a-file": lambda: ["synth", "--config", config_path,
+                                           "--out", config_path / "corpus.csv"],
+        "csv-not-utf8": lambda: ["prepare", "--config", csv_config(binary)],
+        "config-a-directory": lambda: ["prepare", "--config", root],
+        "config-not-utf8": lambda: ["prepare", "--config", binary],
+    }[case]()
+    assert main([str(arg) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("data error: " if code == EXIT_DATA else "config error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("command,overrides", [

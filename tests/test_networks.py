@@ -1,15 +1,17 @@
 """Network construction: layer audits, shapes, init, checkpoint round trips."""
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from subadapt.checkpoint import CheckpointError, load_checkpoint, save_bundle, save_checkpoint
+from subadapt.checkpoint import load_checkpoint, save_bundle, save_checkpoint
 from subadapt.harness import NetworkConfig
 from subadapt.networks import (Classifier, ClassifierSpec, ConvLayer, Discriminator,
                                DiscriminatorSpec, Generator, GeneratorSpec, build_bundle,
                                parameter_count)
+from subadapt.pipeline import PipelineError
 from subadapt.tensor import ShapeError, Tape, Tensor
 
 
@@ -306,7 +308,7 @@ def test_checkpoint_damage_raises_checkpoint_error(tmp_path, how):
     payload = json.loads(path.read_text())
     _damage(payload, how)
     path.write_text(json.dumps(payload))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(PipelineError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 

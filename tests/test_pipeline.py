@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subadapt.pipeline import (CsvSchema, DomainDataset, IngestionError, NormalizationModel,
+from subadapt.pipeline import (CsvSchema, DomainDataset, NormalizationModel,
                                PipelineError, RawRecording, SplitSpec, SynthSpec,
                                apply_minmax, apply_pca, declared_minmax, fit_minmax, fit_pca,
                                generate_synthetic_pair, half_up, impute_missing,
@@ -71,36 +71,36 @@ subject,label,ax
 s1,walk,1.0
 s1,walk,oops
 """)
-    with pytest.raises(IngestionError, match=r"d\.csv:3.*'oops'"):
+    with pytest.raises(PipelineError, match=r"d\.csv:3.*'oops'"):
         load_recordings(p, CsvSchema(), sample_rate=1.0)
 
     short = write_csv(tmp_path / "short.csv", "subject,label,ax\ns1,walk\n")
-    with pytest.raises(IngestionError, match=r"short\.csv:2.*expected 3 cells"):
+    with pytest.raises(PipelineError, match=r"short\.csv:2.*expected 3 cells"):
         load_recordings(short, CsvSchema(), sample_rate=1.0)
 
 
 def test_load_validates_structure(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    with pytest.raises(IngestionError, match="empty"):
+    with pytest.raises(PipelineError, match="empty"):
         load_recordings(empty, CsvSchema(), sample_rate=1.0)
 
     no_col = write_csv(tmp_path / "nocol.csv", "subject,ax\ns1,1.0\n")
-    with pytest.raises(IngestionError, match="label"):
+    with pytest.raises(PipelineError, match="label"):
         load_recordings(no_col, CsvSchema(), sample_rate=1.0)
 
     headers_only = write_csv(tmp_path / "h.csv", "subject,label,ax\n")
-    with pytest.raises(IngestionError, match="no data rows"):
+    with pytest.raises(PipelineError, match="no data rows"):
         load_recordings(headers_only, CsvSchema(), sample_rate=1.0)
 
     no_channels = write_csv(tmp_path / "nc.csv", "subject,label\ns1,w\n")
-    with pytest.raises(IngestionError, match="no channel columns"):
+    with pytest.raises(PipelineError, match="no channel columns"):
         load_recordings(no_channels, CsvSchema(), sample_rate=1.0)
 
 
 def test_load_enforces_label_vocabulary_when_declared(tmp_path):
     p = write_csv(tmp_path / "d.csv", "subject,label,ax\ns1,walk,1.0\ns1,fly,2.0\n")
-    with pytest.raises(IngestionError, match=r"d\.csv:3.*'fly'"):
+    with pytest.raises(PipelineError, match=r"d\.csv:3.*'fly'"):
         load_recordings(p, CsvSchema(allowed_labels=("walk", "sit")), sample_rate=1.0)
     # declared vocabulary also fixes the label index order
     rec, = load_recordings(write_csv(tmp_path / "ok.csv", "subject,label,ax\ns1,walk,1.0\n"),
@@ -193,7 +193,7 @@ def test_load_strips_padded_cells_before_matching_the_marker(tmp_path):
     rec, = load_recordings(p, CsvSchema(missing_marker="NA"), sample_rate=1.0)
     assert np.array_equal(rec.frames, [[np.nan, 1.0], [np.nan, 2.0]], equal_nan=True)
     # with the default marker an NA cell is no number
-    with pytest.raises(IngestionError, match=r"d\.csv:2: channel 'a' has non-numeric value 'NA'"):
+    with pytest.raises(PipelineError, match=r"d\.csv:2: channel 'a' has non-numeric value 'NA'"):
         load_recordings(p, CsvSchema(), sample_rate=1.0)
 
 
@@ -209,7 +209,7 @@ def test_load_empty_marker_reads_blank_cells_as_missing(tmp_path):
     p = write_csv(tmp_path / "d.csv", "subject,label,a,b\ns1,w,,2\ns1,w, ,3\n")
     rec, = load_recordings(p, CsvSchema(missing_marker=""), sample_rate=1.0)
     assert np.array_equal(rec.frames, [[np.nan, 2.0], [np.nan, 3.0]], equal_nan=True)
-    with pytest.raises(IngestionError, match=r"d\.csv:2: channel 'a' has non-numeric value ''"):
+    with pytest.raises(PipelineError, match=r"d\.csv:2: channel 'a' has non-numeric value ''"):
         load_recordings(p, CsvSchema(), sample_rate=1.0)
 
 
@@ -240,19 +240,19 @@ def test_load_single_channel_column(tmp_path):
 def test_load_reports_line_and_column_of_first_bad_cell_after_blank_lines(tmp_path):
     p = write_csv(tmp_path / "d.csv",
                   "subject,label,a,b,c\ns1,w,1,2,3\n\n\n  \ns1,w,4,x y,z\ns1,w,5,q,6\n")
-    with pytest.raises(IngestionError, match=r"d\.csv:6: channel 'b' has non-numeric value 'x y'"):
+    with pytest.raises(PipelineError, match=r"d\.csv:6: channel 'b' has non-numeric value 'x y'"):
         load_recordings(p, CsvSchema(), sample_rate=1.0)
     # in the declared channel order
-    with pytest.raises(IngestionError, match=r"d\.csv:6: channel 'c' has non-numeric value 'z'"):
+    with pytest.raises(PipelineError, match=r"d\.csv:6: channel 'c' has non-numeric value 'z'"):
         load_recordings(p, CsvSchema(channel_columns=("c", "b")), sample_rate=1.0)
 
 
 def test_load_bad_cell_before_a_malformed_row_wins(tmp_path):
     p = write_csv(tmp_path / "d.csv", "subject,label,a,b\ns1,w,1,2\ns1,w,bad,2\ns1,w\n")
-    with pytest.raises(IngestionError, match=r"d\.csv:3: channel 'a' has non-numeric value 'bad'"):
+    with pytest.raises(PipelineError, match=r"d\.csv:3: channel 'a' has non-numeric value 'bad'"):
         load_recordings(p, CsvSchema(), sample_rate=1.0)
     p = write_csv(tmp_path / "e.csv", "subject,label,a,b\ns1,w,1,2\ns1,w,1,bad\ns1,fly,1,2\n")
-    with pytest.raises(IngestionError, match=r"e\.csv:3: channel 'b' has non-numeric value 'bad'"):
+    with pytest.raises(PipelineError, match=r"e\.csv:3: channel 'b' has non-numeric value 'bad'"):
         load_recordings(p, CsvSchema(allowed_labels=("w",)), sample_rate=1.0)
 
 
@@ -276,7 +276,7 @@ def test_load_interleaved_subjects_across_parse_blocks(tmp_path):
     lines[2500] = ",".join(cells)
     lines[2900] = "a,l0"                 # a short row after the bad cell, in a later block
     bad = write_csv(tmp_path / "bad.csv", "\n".join(lines) + "\n")
-    with pytest.raises(IngestionError, match=r"bad\.csv:2501: channel 'ch5' has non-numeric value 'oops'"):
+    with pytest.raises(PipelineError, match=r"bad\.csv:2501: channel 'ch5' has non-numeric value 'oops'"):
         load_recordings(bad, CsvSchema(), sample_rate=1.0)
 
 

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from subadapt.pipeline import DomainDataset
-from subadapt.sampler import EpochPlan, PlainEpochPlan, SamplerError, compute_micro_size
+from subadapt.pipeline import DomainDataset, PipelineError
+from subadapt.sampler import EpochPlan, PlainEpochPlan, compute_micro_size
 
 
 def labeled(counts, dim=4, seed=0):
@@ -24,9 +24,9 @@ def test_micro_size_is_min_count_capped():
     assert compute_micro_size(labeled([50, 40, 60])) == 32
     assert compute_micro_size(labeled([50, 7, 60])) == 7
     assert compute_micro_size(labeled([50, 40, 60]), cap=16) == 16
-    with pytest.raises(SamplerError):
+    with pytest.raises(PipelineError, match="cap must be >= 1, got 0"):
         compute_micro_size(labeled([50, 40, 60]), cap=0)
-    with pytest.raises(SamplerError):
+    with pytest.raises(PipelineError, match=r"classes with no samples: \[1\]"):
         compute_micro_size(DomainDataset("s", np.zeros((3, 2)), [0, 0, 2], 3))
 
 
@@ -75,7 +75,7 @@ def test_epochs_shuffle_differently_but_reruns_replay():
 
 def test_small_class_requires_replacement_opt_in():
     src, tgt = labeled([2, 20, 20]), unlabeled(10)
-    with pytest.raises(SamplerError, match="with_replacement"):
+    with pytest.raises(PipelineError, match="with_replacement"):
         EpochPlan(src, tgt, micro_size=5, seed=0)
     with pytest.warns(UserWarning, match="refill"):
         plan = EpochPlan(src, tgt, micro_size=5, seed=0, with_replacement=True)
@@ -87,15 +87,15 @@ def test_small_class_requires_replacement_opt_in():
 
 def test_plan_validation():
     src, tgt = labeled([10, 10]), unlabeled(10)
-    with pytest.raises(SamplerError, match="labeled"):
+    with pytest.raises(PipelineError, match="labeled"):
         EpochPlan(src.unlabeled(), tgt, 2, seed=0)
-    with pytest.raises(SamplerError, match="micro_size"):
+    with pytest.raises(PipelineError, match="micro_size"):
         EpochPlan(src, tgt, 0, seed=0)
-    with pytest.raises(SamplerError, match="empty"):
+    with pytest.raises(PipelineError, match="empty"):
         EpochPlan(src, tgt.take([]), 2, seed=0)
-    with pytest.raises(SamplerError, match="dim"):
+    with pytest.raises(PipelineError, match="dim"):
         EpochPlan(src, unlabeled(5, dim=3), 2, seed=0)
-    with pytest.raises(SamplerError, match="no samples"):
+    with pytest.raises(PipelineError, match="no samples"):
         EpochPlan(DomainDataset("s", np.zeros((4, 4)), [0, 0, 1, 1], 3), tgt, 1, seed=0)
 
 
@@ -127,11 +127,11 @@ def test_plain_plan_draws_whole_permutations():
 
 def test_plain_plan_validation():
     src, tgt = labeled([5, 5]), unlabeled(5)
-    with pytest.raises(SamplerError):
+    with pytest.raises(PipelineError, match="source dataset must be labeled"):
         PlainEpochPlan(src.unlabeled(), tgt, 2, seed=0)
-    with pytest.raises(SamplerError):
+    with pytest.raises(PipelineError, match="micro_size must be >= 1, got 0"):
         PlainEpochPlan(src, tgt, 0, seed=0)
-    with pytest.raises(SamplerError, match="target dataset is empty"):
+    with pytest.raises(PipelineError, match="target dataset is empty"):
         PlainEpochPlan(src, tgt.take([]), 2, seed=0)
 
 
