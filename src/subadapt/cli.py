@@ -1,13 +1,16 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 config error (an unreadable config file too), 3 data
-error (an input or stored file missing, damaged, short of a key or mismatched, or
-a path the file system refuses), 4 training divergence; each error is one line.
-`evaluate` and `report` compare only the runs trained on the current splits.
+Exit codes: 0 success, 1 stdout closed before the output was written (as
+`| head -1` does; no message), 2 config error (an unreadable config file too),
+3 data error (an input or stored file missing, damaged, short of a key or
+mismatched, or a path the file system refuses), 4 training divergence; each
+error is one line. `evaluate` and `report` compare only the runs trained on the
+current splits, and `report` prints only their reports.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness
@@ -17,6 +20,7 @@ from .pipeline import PipelineError
 from .trainer import DivergedError
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
@@ -45,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="which standard run directory to score when --checkpoint is not given")
     p = command("synth", "emit the synthetic corpus as a frame-per-row CSV")
     p.add_argument("--out", required=True, help="destination CSV path")
-    command("report", "print stored reports and rebuild the comparison table")
+    command("report", "print the reports of runs on the current splits and rebuild the "
+                      "comparison table")
     return parser
 
 
@@ -95,20 +100,19 @@ def _cmd_synth(cfg, args) -> int:
 
 
 def _cmd_report(cfg, args) -> int:
-    shown = False
-    for name in harness.RUN_NAMES:
-        path = cfg.run_dir(name) / "report.txt"
-        if path.exists():
-            print(f"== {name} ==")
-            print(path.read_text())
-            shown = True
     comparison = harness.refresh_comparison(cfg)
+    current, stale = harness.scored_runs(cfg)
+    for name in current:
+        print(f"== {name} ==")
+        print((cfg.run_dir(name) / "report.txt").read_text())
+    if stale:
+        print(f"left out, trained on other splits than the current ones: {', '.join(stale)}")
     if comparison is not None:
         print((cfg.output_dir / "comparison.csv").read_text(), end="")
         if comparison.sandwich is not None:
             verdict = "holds" if comparison.sandwich else "VIOLATED"
             print(f"sandwich (no_transfer <= adapted <= supervised): {verdict}")
-    elif not shown:
+    elif not current:
         print("no reports found; run `subadapt evaluate` first")
     return EXIT_OK
 
@@ -121,7 +125,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = harness.load_config(args.config, args.set)
-        return _COMMANDS[args.command](cfg, args)
+        code = _COMMANDS[args.command](cfg, args)
+        sys.stdout.flush()   # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on exit; that flush goes nowhere now
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -343,27 +343,33 @@ def _prepare_csv(cfg: RunConfig):
 
 
 def prepare_run(cfg: RunConfig) -> dict:
-    """Generate or ingest, split, normalize, reduce; persist everything."""
+    """Generate or ingest, split, normalize, reduce; persist everything.
+
+    The splits are row views of the windows generated or segmented here, so
+    each window is held once: min-max scaling works in place, and only
+    `fit_pca` stacks the pooled train rows, into a matrix of its own.
+    """
     started = time.time()
     splits = dict(zip(SPLIT_NAMES, _prepare_synthetic(cfg) if cfg.data_kind == "synthetic"
                       else _prepare_csv(cfg)))
+    train = [splits["source_train"].windows, splits["target_train"].windows]
 
-    pooled_train = np.vstack([splits["source_train"].windows, splits["target_train"].windows])
     out = cfg.prepared_dir
     out.mkdir(parents=True, exist_ok=True)
     # written last: until then the directory reads as not prepared
     (out / "prepare.json").unlink(missing_ok=True)
 
     if cfg.data_kind == "synthetic":
-        # synthetic windows arrive unscaled; pin each dimension to [0, 1] on pooled train
-        norm = fit_minmax(pooled_train)
-        splits = {k: ds.with_windows(norm.apply(ds.windows)) for k, ds in splits.items()}
-        pooled_train = norm.apply(pooled_train)
+        # synthetic windows arrive unscaled; pin each dimension to [0, 1] on pooled
+        # train, whose range is that of the two train splits' own extremes
+        norm = fit_minmax(np.vstack([f(w, axis=0) for w in train for f in (np.nanmin, np.nanmax)]))
+        for ds in splits.values():
+            norm.apply_in_place(ds.windows)
         norm.to_json(out / "normalization.json")
 
     pca, prep = None, cfg.preprocessing
     if prep.pca_dim is not None or prep.pca_fraction is not None:
-        pca = fit_pca(pooled_train, output_dim=prep.pca_dim, fraction=prep.pca_fraction)
+        pca = fit_pca(*train, output_dim=prep.pca_dim, fraction=prep.pca_fraction)
         splits = {k: apply_pca(pca, ds) for k, ds in splits.items()}
         pca.to_json(out / "pca.json")
 
@@ -387,11 +393,12 @@ def prepare_run(cfg: RunConfig) -> dict:
     return splits
 
 
-def load_prepared(cfg: RunConfig) -> dict:
+def load_prepared(cfg: RunConfig, *names: str) -> dict:
+    """The prepared splits `names` (all six when none are given), by name."""
     out = cfg.prepared_dir
     if not (out / "prepare.json").exists():
         raise PipelineError(f"no prepared data under {out}; run `subadapt prepare` first")
-    return {name: DomainDataset.load(out / name) for name in SPLIT_NAMES}
+    return {name: DomainDataset.load(out / name) for name in names or SPLIT_NAMES}
 
 
 def _splits_sha256(cfg: RunConfig) -> str | None:
@@ -441,7 +448,7 @@ def _record_run(cfg: RunConfig, name: str, state, started: float, trained_on: st
 def train_run(cfg: RunConfig) -> dict:
     """Adversarial adaptation; writes adapted/{checkpoint.json,losses.csv,record.json}."""
     started = time.time()
-    splits = load_prepared(cfg)
+    splits = load_prepared(cfg, "source_train", "target_train")
     trained_on = _splits_sha256(cfg)   # read before training: what the run is trained on
     source = splits["source_train"]
     target = splits["target_train"].unlabeled()   # evaluation labels never reach training
@@ -470,7 +477,7 @@ def train_run(cfg: RunConfig) -> dict:
 
 def baselines_run(cfg: RunConfig) -> dict:
     """The transfer sandwich bounds: source-only and target-supervised classifiers."""
-    splits = load_prepared(cfg)
+    splits = load_prepared(cfg, "source_train", "target_train")
     trained_on = _splits_sha256(cfg)
     results = {}
     jobs = {"no_transfer": splits["source_train"], "supervised": splits["target_train"]}
@@ -494,8 +501,7 @@ def baselines_run(cfg: RunConfig) -> dict:
 
 def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted") -> dict:
     """Score a checkpoint's classifier on the labeled target test split."""
-    splits = load_prepared(cfg)
-    test = splits["target_test"]
+    test = load_prepared(cfg, "target_test")["target_test"]
     if test.labels is None:
         raise PipelineError("target test split is unlabeled; nothing to score")
     if checkpoint_path is None:
@@ -524,14 +530,20 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
     return rep
 
 
+def scored_runs(cfg: RunConfig) -> tuple[list, list]:
+    """The runs with a report: those trained on the current splits, and the stale rest."""
+    scored = [name for name in RUN_NAMES if (cfg.run_dir(name) / "report.json").exists()]
+    if not scored:   # `report` may run before `prepare`; with no report, no prepare.json
+        return [], []
+    current = _splits_sha256(cfg)
+    fresh = [name for name in scored if _trained_on(cfg.run_dir(name)) in (None, current)]
+    return fresh, [name for name in scored if name not in fresh]
+
+
 def refresh_comparison(cfg: RunConfig):
     """Rebuild comparison.csv from reports of runs on the current splits; drop it under two."""
-    scored = [name for name in RUN_NAMES if (cfg.run_dir(name) / "report.json").exists()]
-    if scored:   # `report` may run before `prepare`; with no report, no prepare.json
-        current = _splits_sha256(cfg)
-        scored = [name for name in scored if _trained_on(cfg.run_dir(name)) in (None, current)]
     named = [(name, read_json(cfg.run_dir(name) / "report.json", "total", "weighted_f1"))
-             for name in scored]
+             for name in scored_runs(cfg)[0]]
     path = cfg.output_dir / "comparison.csv"
     if len(named) < 2:
         path.unlink(missing_ok=True)

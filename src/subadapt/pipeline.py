@@ -299,15 +299,20 @@ class NormalizationModel:
             raise PipelineError("channel_max below channel_min")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
+        """`values` scaled into [0, 1] per channel, as a new array."""
+        return self.apply_in_place(np.array(values, dtype=np.float64))
+
+    def apply_in_place(self, values: np.ndarray) -> np.ndarray:
+        """Scale `values`, a float64 array the caller owns, into [0, 1] per channel in
+        place and return it; a constant channel is pinned mid-range."""
         if values.shape[-1] != self.channel_min.shape[0]:
             raise PipelineError(f"value channels {values.shape[-1]} do not match model "
                                 f"channels {self.channel_min.shape[0]}")
         span = self.channel_max - self.channel_min
-        safe = np.where(span == 0, 1.0, span)
-        out = (values - self.channel_min) / safe
-        out = np.where(span == 0, 0.5, out)   # constant channel: pinned mid-range
-        return np.clip(out, 0.0, 1.0)
+        values -= self.channel_min
+        values /= np.where(span == 0, 1.0, span)
+        values[..., span == 0] = 0.5
+        return np.clip(values, 0.0, 1.0, out=values)
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(
@@ -333,7 +338,9 @@ def declared_minmax(low, high, channels: int) -> NormalizationModel:
 
 
 def apply_minmax(model: NormalizationModel, rec: RawRecording) -> RawRecording:
-    return replace(rec, frames=model.apply(rec.frames))
+    """Scale the recording's frames in place; returns the recording."""
+    model.apply_in_place(rec.frames)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +383,10 @@ class DomainDataset:
     def unlabeled(self) -> "DomainDataset":
         return replace(self, labels=None)
 
-    def take(self, indices) -> "DomainDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return replace(self, windows=self.windows[idx],
-                       labels=None if self.labels is None else self.labels[idx])
+    def take(self, rows) -> "DomainDataset":
+        """The rows that `rows` indexes: views for a slice, copies for a list of indices."""
+        return replace(self, windows=self.windows[rows],
+                       labels=None if self.labels is None else self.labels[rows])
 
     def with_windows(self, windows: np.ndarray) -> "DomainDataset":
         return replace(self, windows=np.asarray(windows, dtype=np.float64))
@@ -512,17 +519,23 @@ class PcaSize:
         return self.output_dim if self.fraction is None else max(1, half_up(self.fraction * d))
 
 
-def fit_pca(windows: np.ndarray, output_dim: int | None = None,
+def fit_pca(*blocks: np.ndarray, output_dim: int | None = None,
             fraction: float | None = None) -> PcaModel:
-    """Fit on a pooled [rows, d] matrix; keep output_dim (or round(fraction * d)) components.
+    """Fit on the pooled rows of one or more [rows, d] blocks; keep output_dim (or
+    round(fraction * d)) components.
 
     The components are the leading eigenvectors of the d x d scatter matrix of
     the centred windows. That costs O(rows * d^2 + d^3), against O(rows * d *
     min(rows, d)) for an SVD of the windows themselves, so it only loses when
-    there are fewer pooled windows than dimensions.
+    there are fewer pooled windows than dimensions. The pooled matrix is a copy
+    of the blocks, centred in place and freed before the eigensolver runs; the
+    blocks themselves are left as they are.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[0] < 2:
+    shapes = [np.shape(b) for b in blocks]
+    if not shapes or any(len(s) != 2 or s[1] != shapes[0][1] for s in shapes):
+        raise PipelineError(f"need [rows, d] blocks of one dimension d, got shapes {shapes}")
+    windows = np.concatenate(blocks, dtype=np.float64)
+    if windows.shape[0] < 2:
         raise PipelineError(f"need at least 2 pooled windows, got shape {windows.shape}")
     rows, d = windows.shape
     output_dim = PcaSize(output_dim, fraction).components(d)
@@ -531,9 +544,9 @@ def fit_pca(windows: np.ndarray, output_dim: int | None = None,
         raise PipelineError(f"output_dim must lie in [1, {bound}] for {rows} pooled windows "
                             f"of dimension {d}, got {output_dim}")
     mean = windows.mean(axis=0)
-    centered = windows - mean
-    scatter = centered.T @ centered
-    del centered                                          # free it before eigh's workspace
+    windows -= mean
+    scatter = windows.T @ windows
+    del windows                                           # free it before eigh's workspace
     total = np.trace(scatter)
     if total <= 0.0:
         raise PipelineError("pooled windows have zero variance; nothing to decompose")
@@ -572,7 +585,8 @@ class SplitSpec:
 
 
 def split_domain(ds: DomainDataset, spec: SplitSpec = SplitSpec()):
-    """Contiguous train/val/test split preserving temporal order."""
+    """Contiguous train/val/test split preserving temporal order; each part is a view
+    of its rows of `ds`."""
     n = len(ds)
     if n < 3:
         raise PipelineError(f"cannot split {n} windows into three non-empty parts")
@@ -583,10 +597,8 @@ def split_domain(ds: DomainDataset, spec: SplitSpec = SplitSpec()):
             n_train -= 1
         else:
             n_val -= 1
-    train = ds.take(np.arange(0, n_train))
-    val = ds.take(np.arange(n_train, n_train + n_val))
-    test = ds.take(np.arange(n_train + n_val, n))
-    return train, val, test
+    return (ds.take(slice(0, n_train)), ds.take(slice(n_train, n_train + n_val)),
+            ds.take(slice(n_train + n_val, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Command-line behaviour: exit codes, output files, the full command flow."""
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subadapt
 from subadapt.checkpoint import load_checkpoint
-from subadapt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
+from subadapt.cli import (EXIT_CLOSED_STDOUT, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK,
+                          main)
 from subadapt.harness import RUN_NAMES, load_config, train_run
 from subadapt.trainer import DivergedError
 
@@ -228,7 +235,7 @@ def test_evaluate_after_prepare_with_other_seed_is_a_data_error(workspace, capsy
     ("prepared/prepare.json", None, ["evaluate"]),
     ("adapted/record.json", b"[1]\n", ["evaluate"]),
     ("prepared/prepare.json", b"[1, 2]\n", ["train"]),
-    ("prepared/source_val/meta.json", None, ["train"]),
+    ("prepared/target_train/meta.json", None, ["train"]),
     ("prepared/target_test/windows.npy", "half", ["evaluate"]),
     ("prepared/source_train/labels.npy", None, ["train"]),
     ("no_transfer/report.json", None, ["report"]),
@@ -275,6 +282,86 @@ def test_comparison_leaves_out_runs_trained_on_other_splits(workspace, capsys):
     table = (out_dir / "comparison.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in table[1:]] == ["no_transfer", "adapted"]
     assert capsys.readouterr().err == ""
+
+
+README_CONFIG = {
+    "seed": 7,
+    "data": {"kind": "synthetic", "synthetic": {
+        "num_classes": 4, "channels": 40, "frames": 25, "class_counts": [300, 300, 300, 60],
+        "rotation_degrees": 30.0, "offset": 0.5, "shift_noise": 0.05, "sample_noise": 0.3}},
+    "preprocessing": {"pca_dim": 50},
+    "sampler": {"micro_cap": 8},
+}
+
+
+def test_report_prints_only_the_runs_on_the_current_splits(tmp_path, capsys):
+    out_dir = tmp_path / "out" / "demo"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(dict(README_CONFIG, output_dir=str(out_dir))))
+    config = ["--config", str(config_path), "--set", "trainer.epochs=2"]
+    for command in (["prepare"], ["train"], ["baselines"],
+                    *(["evaluate", "--run", run] for run in RUN_NAMES)):
+        assert main([*command, *config]) == EXIT_OK
+    config += ["--set", "data.synthetic.class_counts=[20,20,20,10]"]
+    for command in (["prepare"], ["train"], ["evaluate", "--run", "adapted"]):
+        assert main([*command, *config]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["report", *config]) == EXIT_OK
+    adapted = out_dir / "adapted"
+    assert json.loads((adapted / "report.json").read_text())["total"] == 21
+    assert capsys.readouterr().out == (
+        f"== adapted ==\n{(adapted / 'report.txt').read_text()}\n"
+        "left out, trained on other splits than the current ones: no_transfer, supervised\n")
+
+
+def _scored_workspace(workspace, capsys):
+    config_path, _ = workspace
+    for command in ("prepare", "train", "evaluate"):
+        assert main([command, "--config", str(config_path)]) == EXIT_OK
+    capsys.readouterr()
+    return config_path
+
+
+def test_a_reader_closing_stdout_after_one_line_ends_report_with_exit_1(workspace, capsys,
+                                                                       monkeypatch):
+    config_path = _scored_workspace(workspace, capsys)
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end, "rb")
+    lines = []
+
+    class Stdout(io.TextIOWrapper):
+        """Line-buffered stdout into the pipe, whose reader closes after the first line."""
+
+        def write(self, text):
+            written = super().write(text)
+            if not reader.closed and "\n" in text:   # line buffering has flushed it
+                lines.append(reader.readline())
+                reader.close()
+            return written
+
+    stdout = Stdout(os.fdopen(write_end, "wb"), line_buffering=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["report", "--config", str(config_path)]) == EXIT_CLOSED_STDOUT
+    finally:
+        stdout.close()   # what is left in its buffer goes to the null device
+    assert lines == [b"== adapted ==\n"]
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_stdout_leaves_no_message_at_interpreter_exit(workspace, capsys):
+    config_path = _scored_workspace(workspace, capsys)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(subadapt.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)   # the report waits in stdout's buffer until it is flushed
+    try:
+        done = subprocess.run([sys.executable, "-m", "subadapt.cli", "report",
+                               "--config", str(config_path)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_CLOSED_STDOUT, b"")
 
 
 @pytest.mark.parametrize("case,code", [

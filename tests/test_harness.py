@@ -1,7 +1,8 @@
 """Run orchestration: config strictness, prepared layout, end-to-end artifacts."""
 import hashlib
 import json
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from subadapt import harness
 from subadapt.harness import (ConfigError, apply_overrides, baselines_run, evaluate_run,
                               load_config, load_prepared, prepare_run, resolve_config,
                               synth_run, train_run)
-from subadapt.pipeline import (CsvSchema, PipelineError, SynthSpec, load_recordings,
-                               segment_windows)
+from subadapt.pipeline import (CsvSchema, PcaModel, PcaSize, PipelineError, RawRecording,
+                               SynthSpec, apply_pca, fit_minmax, generate_synthetic_pair,
+                               impute_missing, load_recordings, save_recordings_csv,
+                               segment_windows, split_domain)
 from subadapt.trainer import TrainerConfig
 
 
@@ -297,6 +300,122 @@ def test_synth_requires_synthetic_config(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# prepare against the copying reference
+
+
+def _scaled_reference(model, values):
+    """Min-max scaling in four out-of-place steps, kept as the reference."""
+    span = model.channel_max - model.channel_min
+    out = (values - model.channel_min) / np.where(span == 0, 1.0, span)
+    return np.clip(np.where(span == 0, 0.5, out), 0.0, 1.0)
+
+
+def _pca_reference(pooled, output_dim):
+    """The PCA fit on a centred copy of the caller's pooled matrix, kept as the reference."""
+    mean = pooled.mean(axis=0)
+    centered = pooled - mean
+    scatter = centered.T @ centered
+    eigenvalues, eigenvectors = np.linalg.eigh(scatter)
+    components = eigenvectors[:, ::-1][:, :output_dim].T
+    flip = np.sign(components[np.arange(output_dim), np.argmax(np.abs(components), axis=1)])
+    return PcaModel(mean, components * np.where(flip == 0, 1.0, flip)[:, None],
+                    np.clip(eigenvalues[::-1][:output_dim], 0.0, None) / np.trace(scatter))
+
+
+def _prepare_reference(cfg, out):
+    """The splits, normalization.json and pca.json of `cfg` prepared the copying way:
+    index-array split copies, out-of-place scaling, a raw pooled train stack scaled on
+    its own, and a PCA fit on a centred copy of it."""
+    if cfg.data_kind == "synthetic":
+        domains = generate_synthetic_pair(cfg.synth)
+    else:
+        c = cfg.csv
+        by_subject = {r.subject_id: r for r in load_recordings(c.path, c.schema, c.sample_rate)}
+        domains = []
+        for subject in (c.source_subject, c.target_subject):
+            rec = impute_missing(by_subject[subject])
+            rec = replace(rec, frames=_scaled_reference(fit_minmax(rec.frames), rec.frames))
+            domains.append(segment_windows(rec, c.window_seconds, c.overlap))
+    splits = []
+    for ds in domains:   # sized as split_domain sizes them
+        bounds = np.cumsum([0] + [len(p) for p in split_domain(ds, cfg.preprocessing.split)])
+        splits += [ds.take(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    splits = dict(zip(harness.SPLIT_NAMES, splits))
+    pooled = np.vstack([splits["source_train"].windows, splits["target_train"].windows])
+    out.mkdir(parents=True)
+    if cfg.data_kind == "synthetic":
+        norm = fit_minmax(pooled)
+        splits = {k: ds.with_windows(_scaled_reference(norm, ds.windows))
+                  for k, ds in splits.items()}
+        pooled = _scaled_reference(norm, pooled)
+        norm.to_json(out / "normalization.json")
+    prep = cfg.preprocessing
+    output_dim = PcaSize(prep.pca_dim, prep.pca_fraction).components(pooled.shape[1])
+    pca = _pca_reference(pooled, output_dim)
+    pca.to_json(out / "pca.json")
+    for name, ds in splits.items():
+        apply_pca(pca, ds).save(out / name)
+
+
+def _gappy_csv(tmp_path):
+    """Two subjects, 3 channels (the last one constant), about 2% of cells missing."""
+    rng = np.random.default_rng(31)
+    recs = []
+    for subject, shift in (("source", 0.0), ("target", 0.4)):
+        frames = rng.normal(size=(240, 3)) + shift
+        frames[:, 2] = 1.5
+        frames[rng.random(frames.shape) < 0.02] = np.nan
+        frames[0, 0] = np.nan   # a leading gap, back-filled
+        recs.append(RawRecording(subject, frames, (np.arange(240) // 20) % 2, 4.0, ("a", "b")))
+    path = tmp_path / "gappy.csv"
+    save_recordings_csv(recs, path)
+    return path
+
+
+def _files(root: Path) -> set:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "csv"])
+def test_prepare_writes_the_bytes_of_the_copying_reference(tmp_path, kind):
+    if kind == "synthetic":
+        raw = base_config(tmp_path / "out", preprocessing={"pca_dim": 6})
+        raw["data"]["synthetic"].update(channels=3, frames=6, class_counts=[30, 20])
+    else:
+        raw = csv_config(tmp_path / "out", _gappy_csv(tmp_path),
+                         preprocessing={"pca_fraction": 0.5})
+        raw["data"]["csv"]["overlap"] = 0.5
+    cfg = resolve_config(raw)
+    prepare_run(cfg)
+    reference = tmp_path / "reference"
+    _prepare_reference(cfg, reference)
+    written = _files(cfg.prepared_dir) - {"prepare.json"}
+    assert written == _files(reference)
+    for name in sorted(written):
+        assert (cfg.prepared_dir / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def test_prepare_memory_stays_near_the_windows_and_one_pooled_train_matrix(tmp_path):
+    # the benchmark's classify corpus: 9,600 windows of 8 channels x 25 frames per subject
+    raw = base_config(tmp_path / "out", preprocessing={"pca_dim": 50})
+    raw["data"]["synthetic"] = {"num_classes": 4, "channels": 8, "frames": 25,
+                                "class_counts": [3000, 3000, 3000, 600],
+                                "rotation_degrees": 30.0, "offset": 0.5,
+                                "shift_noise": 0.05, "sample_noise": 0.3}
+    cfg = resolve_config(raw)
+    tracemalloc.start()
+    try:
+        splits = prepare_run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    window_bytes = cfg.synth.window_dim * 8
+    corpus = 2 * sum(cfg.synth.class_counts) * window_bytes
+    pooled_train = (len(splits["source_train"]) + len(splits["target_train"])) * window_bytes
+    assert peak <= corpus + pooled_train + 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # train / baselines / evaluate
 
 
@@ -359,6 +478,22 @@ def test_evaluate_scores_explicit_checkpoint_path(tmp_path):
     rep = evaluate_run(cfg, checkpoint_path=ckpt, run_name="no_transfer")
     assert (cfg.run_dir("no_transfer") / "report.json").exists()
     assert rep["total"] == 8  # 24 windows split 14/2/8
+
+
+def test_each_stage_loads_only_the_splits_it_reads(tmp_path, monkeypatch):
+    cfg = prepared_cfg(tmp_path)
+    assert list(load_prepared(cfg)) == list(harness.SPLIT_NAMES)
+    loaded = []
+    load = harness.DomainDataset.load
+    monkeypatch.setattr(harness.DomainDataset, "load",
+                        staticmethod(lambda directory: loaded.append(Path(directory).name)
+                                     or load(directory)))
+    train_run(cfg)
+    baselines_run(cfg)
+    assert loaded == ["source_train", "target_train"] * 2
+    loaded.clear()
+    evaluate_run(cfg)
+    assert loaded == ["target_test"]
 
 
 def test_train_reruns_write_identical_checkpoints(tmp_path):

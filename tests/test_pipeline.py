@@ -364,6 +364,17 @@ def test_minmax_validation_and_serialization(tmp_path):
     assert np.array_equal(back["channel_max"], model.channel_max)
 
 
+def test_minmax_apply_leaves_its_input_unchanged():
+    model = fit_minmax(np.array([[0.0, 5.0, -1.0], [10.0, 5.0, 3.0]]))
+    values = np.array([[5.0, 5.0, 7.0], [-2.0, 9.0, 0.5], [12.0, 1.0, -1.0]])
+    kept = values.copy()
+    out = model.apply(values)
+    assert np.array_equal(values, kept)
+    assert not np.shares_memory(out, values)
+    scaled = model.apply_in_place(values)
+    assert scaled is values and out.tobytes() == values.tobytes()
+
+
 def test_apply_minmax_wraps_recording():
     rec = RawRecording("s", np.array([[0.0], [10.0]]), np.zeros(2, dtype=np.int64), 1.0, ("a",))
     out = apply_minmax(fit_minmax(rec.frames), rec)
@@ -495,6 +506,21 @@ def test_pca_sign_convention_is_deterministic():
     assert np.all(peaks > 0)
 
 
+def test_pca_pools_its_blocks_and_leaves_them_unchanged():
+    rng = np.random.default_rng(29)
+    a, b = rng.normal(size=(40, 6)), rng.normal(size=(25, 6)) + 1.0
+    kept = a.copy(), b.copy()
+    pooled = fit_pca(a, b, output_dim=3)
+    assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
+    whole = fit_pca(np.vstack([a, b]), output_dim=3)
+    for field in ("mean", "components", "explained_variance_ratio"):
+        assert getattr(pooled, field).tobytes() == getattr(whole, field).tobytes()
+    with pytest.raises(PipelineError, match="one dimension"):
+        fit_pca(a, b[:, :5], output_dim=3)
+    with pytest.raises(PipelineError, match="blocks"):
+        fit_pca(output_dim=3)
+
+
 def test_pca_fraction_selects_component_count():
     rng = np.random.default_rng(26)
     data = rng.normal(size=(50, 10))
@@ -623,6 +649,19 @@ def test_split_is_contiguous_and_keeps_labels():
     train, val, test = split_domain(ds)
     assert np.array_equal(train.labels, labels[:6])
     assert np.array_equal(test.labels, labels[7:])
+
+
+def test_split_parts_are_views_of_disjoint_rows():
+    ds = DomainDataset("s", np.arange(40.0).reshape(20, 2), np.arange(20) % 2, 2)
+    parts = split_domain(ds)
+    for part in parts:
+        assert np.shares_memory(part.windows, ds.windows)
+        assert np.shares_memory(part.labels, ds.labels)
+    for i, first in enumerate(parts):
+        for second in parts[i + 1:]:
+            assert not np.shares_memory(first.windows, second.windows)
+    assert sum(len(p) for p in parts) == len(ds)
+    assert np.array_equal(np.vstack([p.windows for p in parts]), ds.windows)
 
 
 # ---------------------------------------------------------------------------
