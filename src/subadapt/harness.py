@@ -31,10 +31,11 @@ from .checkpoint import load_checkpoint, save_bundle, save_checkpoint
 from .networks import (Classifier, ClassifierSpec, DiscriminatorSpec, GeneratorSpec,
                        build_bundle)
 from .pipeline import (CsvSchema, DomainDataset, PcaSize, PipelineError, RawRecording,
-                       SplitSpec, SynthSpec, Windowing, apply_minmax, apply_pca,
-                       declared_minmax, fit_minmax, fit_pca, generate_synthetic_pair,
-                       impute_missing, load_recordings, read_json, rotation_mixing,
-                       save_recordings_csv, segment_windows, split_domain)
+                       SplitSpec, SynthSpec, SyntheticStream, Windowing, apply_minmax,
+                       apply_pca, declared_minmax, fit_minmax, fit_pca,
+                       generate_synthetic_pair, impute_missing, load_recordings, read_json,
+                       rotation_mixing, save_recordings_csv, segment_windows, split_domain,
+                       split_sizes)
 from .trainer import DivergedError, TrainerConfig, train, train_classifier
 
 SPLIT_NAMES = ("source_train", "source_val", "source_test",
@@ -315,12 +316,27 @@ def _hash_splits(prepared: Path) -> str:
     return digest.hexdigest()
 
 
-def _prepare_synthetic(cfg: RunConfig):
-    source, target = generate_synthetic_pair(cfg.synth)
-    return split_domain(source, cfg.preprocessing.split) + split_domain(target, cfg.preprocessing.split)
+_TRAIN_SPLITS = ("source_train", "target_train")
 
 
-def _prepare_csv(cfg: RunConfig):
+def _synthetic_splits(cfg: RunConfig):
+    """The two train splits, and a function that draws the other four afterwards."""
+    stream = SyntheticStream(cfg.synth)
+    n_train, n_val, _ = split_sizes(len(stream), cfg.preprocessing.split)
+
+    def draw_rest():
+        rest = {}
+        for role, ds in zip(("source", "target"), generate_synthetic_pair(stream)):
+            rest[f"{role}_val"] = ds.take(slice(0, n_val))
+            rest[f"{role}_test"] = ds.take(slice(n_val, len(ds)))
+        return rest
+
+    return dict(zip(_TRAIN_SPLITS, generate_synthetic_pair(stream, n_train))), draw_rest
+
+
+def _csv_splits(cfg: RunConfig):
+    """The two train splits, and a function that returns the other four; all six are
+    views of the scaled windows of each subject."""
     c = cfg.csv
     recordings = load_recordings(c.path, c.schema, c.sample_rate)
     by_subject = {r.subject_id: r for r in recordings}
@@ -339,40 +355,57 @@ def _prepare_csv(cfg: RunConfig):
         if len(ds) < 3:
             raise PipelineError(f"subject {subject!r} yields only {len(ds)} windows")
         datasets.extend(split_domain(ds, cfg.preprocessing.split))
-    return tuple(datasets)
+    rest = dict(zip(SPLIT_NAMES, datasets))
+    train = {name: rest.pop(name) for name in _TRAIN_SPLITS}
+    return train, lambda: rest
+
+
+def _transformed(splits: dict, norm, pca) -> dict:
+    """The splits scaled in place by the min-max model `norm`, then reduced by `pca`;
+    either may be None. A function of its own, so no loop variable outlives it and
+    keeps a raw split alive."""
+    if norm is not None:
+        for ds in splits.values():
+            norm.apply_in_place(ds.windows)
+    return splits if pca is None else {name: apply_pca(pca, ds) for name, ds in splits.items()}
 
 
 def prepare_run(cfg: RunConfig) -> dict:
     """Generate or ingest, split, normalize, reduce; persist everything.
 
-    The splits are row views of the windows generated or segmented here, so
-    each window is held once: min-max scaling works in place, and only
-    `fit_pca` stacks the pooled train rows, into a matrix of its own.
+    Everything fit on train is fit before the other splits are needed: the
+    train splits are scaled (synthetic only), PCA is fit on them and they are
+    reduced, which frees their raw windows. Only then does the synthetic
+    corpus draw its val and test windows; a CSV corpus already holds them as
+    views. Those are scaled in place and reduced one split at a time.
     """
     started = time.time()
-    splits = dict(zip(SPLIT_NAMES, _prepare_synthetic(cfg) if cfg.data_kind == "synthetic"
-                      else _prepare_csv(cfg)))
-    train = [splits["source_train"].windows, splits["target_train"].windows]
+    train, take_rest = (_synthetic_splits if cfg.data_kind == "synthetic"
+                        else _csv_splits)(cfg)
 
     out = cfg.prepared_dir
     out.mkdir(parents=True, exist_ok=True)
     # written last: until then the directory reads as not prepared
     (out / "prepare.json").unlink(missing_ok=True)
 
+    norm = None
     if cfg.data_kind == "synthetic":
         # synthetic windows arrive unscaled; pin each dimension to [0, 1] on pooled
         # train, whose range is that of the two train splits' own extremes
-        norm = fit_minmax(np.vstack([f(w, axis=0) for w in train for f in (np.nanmin, np.nanmax)]))
-        for ds in splits.values():
-            norm.apply_in_place(ds.windows)
+        norm = fit_minmax(np.vstack([f(ds.windows, axis=0) for ds in train.values()
+                                     for f in (np.nanmin, np.nanmax)]))
         norm.to_json(out / "normalization.json")
+    train = _transformed(train, norm, None)
 
     pca, prep = None, cfg.preprocessing
     if prep.pca_dim is not None or prep.pca_fraction is not None:
-        pca = fit_pca(*train, output_dim=prep.pca_dim, fraction=prep.pca_fraction)
-        splits = {k: apply_pca(pca, ds) for k, ds in splits.items()}
+        pca = fit_pca(*(ds.windows for ds in train.values()), output_dim=prep.pca_dim,
+                      fraction=prep.pca_fraction)
         pca.to_json(out / "pca.json")
+        train = _transformed(train, None, pca)   # frees the raw train windows
 
+    splits = {**train, **_transformed(take_rest(), norm, pca)}
+    splits = {name: splits[name] for name in SPLIT_NAMES}
     for name, ds in splits.items():
         ds.save(out / name)
 

@@ -298,10 +298,6 @@ class NormalizationModel:
         if np.any(self.channel_max < self.channel_min):
             raise PipelineError("channel_max below channel_min")
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """`values` scaled into [0, 1] per channel, as a new array."""
-        return self.apply_in_place(np.array(values, dtype=np.float64))
-
     def apply_in_place(self, values: np.ndarray) -> np.ndarray:
         """Scale `values`, a float64 array the caller owns, into [0, 1] per channel in
         place and return it; a constant channel is pinned mid-range."""
@@ -529,7 +525,9 @@ def fit_pca(*blocks: np.ndarray, output_dim: int | None = None,
     min(rows, d)) for an SVD of the windows themselves, so it only loses when
     there are fewer pooled windows than dimensions. The pooled matrix is a copy
     of the blocks, centred in place and freed before the eigensolver runs; the
-    blocks themselves are left as they are.
+    blocks themselves are left as they are. `prepare` passes the two train
+    splits before the synthetic val and test windows exist, so that copy and
+    the train windows are the largest arrays alive while it runs.
     """
     shapes = [np.shape(b) for b in blocks]
     if not shapes or any(len(s) != 2 or s[1] != shapes[0][1] for s in shapes):
@@ -584,10 +582,10 @@ class SplitSpec:
             raise PipelineError("split fractions must sum to 1")
 
 
-def split_domain(ds: DomainDataset, spec: SplitSpec = SplitSpec()):
-    """Contiguous train/val/test split preserving temporal order; each part is a view
-    of its rows of `ds`."""
-    n = len(ds)
+def split_sizes(n: int, spec: SplitSpec = SplitSpec()) -> tuple[int, int, int]:
+    """The train, val and test sizes of a contiguous split of n windows: train and val
+    are their shares rounded half up, then the larger of the two gives up windows
+    until test keeps at least one."""
     if n < 3:
         raise PipelineError(f"cannot split {n} windows into three non-empty parts")
     n_train = max(1, half_up(spec.train * n))
@@ -597,8 +595,15 @@ def split_domain(ds: DomainDataset, spec: SplitSpec = SplitSpec()):
             n_train -= 1
         else:
             n_val -= 1
+    return n_train, n_val, n - n_train - n_val
+
+
+def split_domain(ds: DomainDataset, spec: SplitSpec = SplitSpec()):
+    """Contiguous train/val/test split preserving temporal order; each part is a view
+    of its rows of `ds`."""
+    n_train, n_val, _ = split_sizes(len(ds), spec)
     return (ds.take(slice(0, n_train)), ds.take(slice(n_train, n_train + n_val)),
-            ds.take(slice(n_train + n_val, n)))
+            ds.take(slice(n_train + n_val, len(ds))))
 
 
 # ---------------------------------------------------------------------------
@@ -696,38 +701,70 @@ def _prototypes(spec: SynthSpec, rng: RandomSource) -> np.ndarray:
 _NOISE_BLOCK_BYTES = 1 << 19   # noise per block: 64 KiB-1 MiB time alike, 4 MiB is slower
 
 
-def generate_synthetic_pair(spec: SynthSpec):
-    """Build matched source/target datasets differing only by the declared subject shift.
+class SyntheticStream:
+    """How far a draw of the synthetic pair of `spec` has got: the PCG64 stream, the
+    class prototypes, each window's class and the count of windows drawn. Pass it
+    to `generate_synthetic_pair` to draw its next windows; the first call sets up
+    the stream, the prototypes and the class order, so all generation work
+    happens there."""
+
+    def __init__(self, spec: SynthSpec):
+        self.spec = spec
+        self.rng = self.protos = self.order = None
+        self.drawn = 0
+
+    def __len__(self) -> int:
+        """Windows per domain, drawn or not."""
+        return sum(self.spec.class_counts)
+
+
+def generate_synthetic_pair(spec_or_stream: SynthSpec | SyntheticStream,
+                            count: int | None = None):
+    """Build matched source/target datasets differing only by the declared subject shift:
+    every window of a SynthSpec, or the next `count` windows (default: all that are
+    left) of a SyntheticStream.
+
+    Per window the PCG64 stream yields source noise, target noise, then shift
+    noise (only when `shift_noise > 0`), and one draw per block of windows reads
+    it exactly as one draw per window would. So a window's bits do not depend on
+    where a block or a call starts: drawing k1 windows of a stream and then k2
+    gives the bytes of one draw of k1 + k2.
 
     Both datasets carry labels; the target's exist for evaluation only and
     must be stripped (DomainDataset.unlabeled()) before adaptation training.
     """
-    rng = RandomSource(spec.seed, "synthetic")
-    protos = _prototypes(spec, rng)
-    order = _interleave_classes(spec.class_counts)
-    n = len(order)
+    stream = spec_or_stream if isinstance(spec_or_stream, SyntheticStream) \
+        else SyntheticStream(spec_or_stream)
+    spec, lo = stream.spec, stream.drawn
+    k = len(stream) - lo if count is None else count
+    if not 0 <= k <= len(stream) - lo:
+        raise PipelineError(f"cannot draw {k} windows; {len(stream) - lo} are left")
+    if stream.rng is None:   # the prototypes are the first values the stream yields
+        stream.rng = RandomSource(spec.seed, "synthetic")
+        stream.protos = _prototypes(spec, stream.rng)
+        stream.order = _interleave_classes(spec.class_counts)   # each window's class
     mixing = spec.mixing if spec.mixing is not None else np.eye(spec.channels)
     offset = np.broadcast_to(np.asarray(spec.offset, dtype=np.float64), (spec.channels,))
-
-    # Per window the stream yields source noise, target noise, then shift noise,
-    # so one draw per block of windows reads it exactly as one draw per window would.
     draws = 3 if spec.shift_noise > 0 else 2
     block = max(1, _NOISE_BLOCK_BYTES // (draws * spec.window_dim * 8))
-    source = np.empty((n, spec.frames, spec.channels))
-    target = np.empty((n, spec.frames, spec.channels))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        noise = rng.normal((hi - lo, draws, spec.frames, spec.channels))
-        protos_here = protos[order[lo:hi]]
-        source[lo:hi] = protos_here + spec.sample_noise * noise[:, 0]
+    source = np.empty((k, spec.frames, spec.channels))
+    target = np.empty((k, spec.frames, spec.channels))
+    for start in range(0, k, block):
+        stop = min(start + block, k)
+        noise = stream.rng.normal((stop - start, draws, spec.frames, spec.channels))
+        protos_here = stream.protos[stream.order[lo + start:lo + stop]]
+        source[start:stop] = protos_here + spec.sample_noise * noise[:, 0]
         # a stacked [frames, channels] product per window: flattening it to one
         # 2-D product changes the last bits
         t_frames = (protos_here + spec.sample_noise * noise[:, 1]) @ mixing.T + offset
         if spec.shift_noise > 0:
             t_frames = t_frames + spec.shift_noise * noise[:, 2]
-        target[lo:hi] = t_frames
+        target[start:stop] = t_frames
+    stream.drawn = lo + k
 
+    labels = stream.order[lo:lo + k]
     label_names = tuple(f"c{i}" for i in range(spec.num_classes))
-    return (DomainDataset("source", source.reshape(n, -1), order, spec.num_classes, label_names),
-            DomainDataset("target", target.reshape(n, -1), order.copy(), spec.num_classes,
-                          label_names))
+    return (DomainDataset("source", source.reshape(k, spec.window_dim), labels,
+                          spec.num_classes, label_names),
+            DomainDataset("target", target.reshape(k, spec.window_dim), labels.copy(),
+                          spec.num_classes, label_names))

@@ -507,7 +507,15 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
     def grad(g, needs):
         if activation != "linear":
             mask = out_data > 0.0   # the output is > 0 exactly where the pre-activation is
-            g = g * mask if activation == "relu" else g * np.where(mask, 1.0, slope)
+            if activation == "relu":
+                g = g * mask
+            else:
+                # the factor np.where(mask, 1.0, slope) without a branch per element:
+                # (1 - slope) + slope rounds to exactly 1.0 for a slope in [0, 1]
+                factor = mask * (1.0 - slope)
+                factor += slope
+                factor *= g
+                g = factor
         d_x = d_k = d_b = None
         if needs[0]:
             dxp = np.zeros(xd.shape[:2] + (pl + length + pr,))

@@ -8,10 +8,11 @@ import pytest
 
 from subadapt.pipeline import (CsvSchema, DomainDataset, NormalizationModel,
                                PipelineError, RawRecording, SplitSpec, SynthSpec,
-                               apply_minmax, apply_pca, declared_minmax, fit_minmax, fit_pca,
-                               generate_synthetic_pair, half_up, impute_missing,
-                               load_recordings, rotation_mixing, save_recordings_csv,
-                               segment_windows, split_domain, _interleave_classes)
+                               SyntheticStream, apply_minmax, apply_pca, declared_minmax,
+                               fit_minmax, fit_pca, generate_synthetic_pair, half_up,
+                               impute_missing, load_recordings, rotation_mixing,
+                               save_recordings_csv, segment_windows, split_domain,
+                               _NOISE_BLOCK_BYTES, _interleave_classes)
 
 
 def test_half_up_rounding():
@@ -328,7 +329,7 @@ def test_minmax_scales_clips_and_pins_constant_channels():
     model = fit_minmax(np.array([[0.0, 5.0], [10.0, 5.0], [5.0, 5.0]]))
     assert np.array_equal(model.channel_min, [0.0, 5.0])
     assert np.array_equal(model.channel_max, [10.0, 5.0])
-    out = model.apply(np.array([[5.0, 5.0], [-2.0, 9.0], [12.0, 1.0]]))
+    out = model.apply_in_place(np.array([[5.0, 5.0], [-2.0, 9.0], [12.0, 1.0]]))
     assert np.array_equal(out[:, 0], [0.5, 0.0, 1.0])   # clipped outside the fit range
     assert np.array_equal(out[:, 1], [0.5, 0.5, 0.5])   # constant channel pinned
 
@@ -343,7 +344,7 @@ def test_minmax_fit_ignores_nans():
 def test_declared_minmax_broadcasts_scalars():
     model = declared_minmax(-2.0, 2.0, channels=3)
     assert np.array_equal(model.channel_min, [-2.0, -2.0, -2.0])
-    out = model.apply(np.array([[0.0, 2.0, -4.0]]))
+    out = model.apply_in_place(np.array([[0.0, 2.0, -4.0]]))
     assert np.array_equal(out, [[0.5, 1.0, 0.0]])
 
 
@@ -356,7 +357,7 @@ def test_minmax_validation_and_serialization(tmp_path):
         fit_minmax(np.array([[1.0, np.nan], [2.0, np.nan]]))
     model = fit_minmax(np.array([[0.0, 1.0], [2.0, 3.0]]))
     with pytest.raises(PipelineError):
-        model.apply(np.zeros((2, 3)))
+        model.apply_in_place(np.zeros((2, 3)))
     path = tmp_path / "norm.json"
     model.to_json(path)
     back = json.loads(path.read_text())
@@ -364,15 +365,14 @@ def test_minmax_validation_and_serialization(tmp_path):
     assert np.array_equal(back["channel_max"], model.channel_max)
 
 
-def test_minmax_apply_leaves_its_input_unchanged():
+def test_minmax_apply_in_place_scales_its_argument():
     model = fit_minmax(np.array([[0.0, 5.0, -1.0], [10.0, 5.0, 3.0]]))
     values = np.array([[5.0, 5.0, 7.0], [-2.0, 9.0, 0.5], [12.0, 1.0, -1.0]])
-    kept = values.copy()
-    out = model.apply(values)
-    assert np.array_equal(values, kept)
-    assert not np.shares_memory(out, values)
+    span = model.channel_max - model.channel_min   # the out-of-place form, as the reference
+    expected = np.clip(np.where(span == 0, 0.5, (values - model.channel_min)
+                                / np.where(span == 0, 1.0, span)), 0.0, 1.0)
     scaled = model.apply_in_place(values)
-    assert scaled is values and out.tobytes() == values.tobytes()
+    assert scaled is values and values.tobytes() == expected.tobytes()
 
 
 def test_apply_minmax_wraps_recording():
@@ -828,6 +828,29 @@ def test_synthetic_pair_bytes_are_pinned(case):
     assert (_digest(src.windows), _digest(src.labels)) == (source_sha, labels_sha)
     assert _digest(tgt.windows) in target_shas
     assert np.array_equal(tgt.labels, src.labels) and tgt.labels is not src.labels
+
+
+@pytest.mark.parametrize("shift_noise", [0.0, 0.05])
+def test_synthetic_stream_in_two_draws_gives_the_bytes_of_one(shift_noise):
+    spec = SynthSpec(num_classes=3, channels=40, frames=25, class_counts=(40, 30, 25),
+                     mixing=rotation_mixing(40, 30.0), offset=0.5, shift_noise=shift_noise,
+                     sample_noise=0.3, seed=5)
+    whole = generate_synthetic_pair(spec)
+    n = len(whole[0])
+    block = _NOISE_BLOCK_BYTES // ((3 if shift_noise > 0 else 2) * spec.window_dim * 8)
+    assert 2 < block < n - 5
+    # none, inside the first and the second noise block, at a block edge, all
+    for k1 in (0, block // 2, block + 5, block, n):
+        stream = SyntheticStream(spec)
+        first, second = generate_synthetic_pair(stream, k1), generate_synthetic_pair(stream)
+        assert (len(first[0]), len(second[1]), stream.drawn) == (k1, n - k1, n)
+        for i, ds in enumerate(whole):
+            windows = np.concatenate([first[i].windows, second[i].windows])
+            labels = np.concatenate([first[i].labels, second[i].labels])
+            assert windows.tobytes() == ds.windows.tobytes(), (k1, i)
+            assert labels.tobytes() == ds.labels.tobytes(), (k1, i)
+        with pytest.raises(PipelineError, match="0 are left"):
+            generate_synthetic_pair(stream, 1)
 
 
 def test_synthetic_generation_memory_stays_near_its_outputs():

@@ -416,6 +416,43 @@ def test_fused_conv1d_activation_is_bit_equal_to_separate_ops(activation, stride
             assert np.array_equal(got, want)
 
 
+def _leaky_gradients(x, k, b, slope, probe, fused):
+    """(x, k, b) gradients of sum(leaky conv1d * probe), fused or as conv1d then
+    leaky_relu(), whose gradient is g * np.where(z > 0, 1, slope)."""
+    with Tape() as tape:
+        if fused:
+            out = T.conv1d(x, k, b, activation="leaky_relu", slope=slope)
+        else:
+            out = T.leaky_relu(T.conv1d(x, k, b), slope)
+        loss = T.sum_all(T.mul(out, probe))
+    grads = backward(tape, loss)
+    return grads[x], grads[k], grads[b]
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+def test_fused_leaky_gradient_is_bit_equal_to_the_where_form_on_special_values(slope):
+    rng = np.random.default_rng(47)
+    # quarter-integer grids make many outputs exactly 0, others negative
+    x = Tensor(rng.integers(-2, 3, size=(5, 2, 13)) * 0.25, requires_grad=True)
+    k = Tensor(rng.integers(-2, 3, size=(4, 2, 3)) * 0.5, requires_grad=True)
+    b = Tensor([0.0, 0.25, -0.25, 0.0], requires_grad=True)
+    with paused():
+        z = T.conv1d(x, k, b).data
+    assert (z == 0).any() and (z < 0).any() and (z > 0).any()
+    g = rng.normal(size=z.shape)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    at = rng.random(z.shape) < 0.4
+    g[at] = special[rng.integers(len(special), size=int(at.sum()))]
+    for value in special:   # each special value, bit for bit, meets both sides of the mask
+        here = g.view(np.uint64) == np.array(value).view(np.uint64)
+        assert (here & (z > 0)).any() and (here & (z <= 0)).any(), value
+    with np.errstate(invalid="ignore", over="ignore"):
+        fused = _leaky_gradients(x, k, b, slope, Tensor(g), True)
+        where_form = _leaky_gradients(x, k, b, slope, Tensor(g), False)
+    for got, want in zip(fused, where_form):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("in_channels", [1, 3])
 @pytest.mark.parametrize("batch", [1, 127, 128, 129, 2 * 128 + 5])
 @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu"])
