@@ -385,8 +385,10 @@ def prepare_run(cfg: RunConfig) -> dict:
 
     out = cfg.prepared_dir
     out.mkdir(parents=True, exist_ok=True)
-    # written last: until then the directory reads as not prepared
-    (out / "prepare.json").unlink(missing_ok=True)
+    # written last: until then the directory reads as not prepared; the fitted
+    # models are written again only by a run that fits them
+    for name in ("prepare.json", "normalization.json", "pca.json"):
+        (out / name).unlink(missing_ok=True)
 
     norm = None
     if cfg.data_kind == "synthetic":

@@ -122,8 +122,7 @@ class ConvLayer:
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
     def __call__(self, t: Tensor) -> Tensor:
-        return T.conv1d(t, self.kernels, self.bias, stride=1, padding="same",
-                        activation=self.activation, slope=LEAKY_SLOPE)
+        return T.conv1d(t, self.kernels, self.bias, activation=self.activation, slope=LEAKY_SLOPE)
 
     def params(self) -> dict:
         return {"kernels": self.kernels, "bias": self.bias}
@@ -316,6 +315,3 @@ def build_bundle(gen_spec: GeneratorSpec, disc_spec: DiscriminatorSpec,
         raise ValueError("generator, discriminator and classifier must share one input dimension")
     return ModelBundle(Generator(gen_spec), Discriminator(disc_spec), Classifier(cls_spec))
 
-
-def parameter_count(net) -> int:
-    return int(sum(p.data.size for p in net.parameters().values()))

@@ -416,7 +416,7 @@ class Windowing:
     sharing the fraction `overlap` with the next."""
     sample_rate: float
     window_seconds: float
-    overlap: float = 0.0
+    overlap: float
 
     def __post_init__(self):
         _check_sample_rate(self.sample_rate)
@@ -485,9 +485,6 @@ class PcaModel:
             raise PipelineError(f"window dimension {windows.shape[-1]} does not match "
                                 f"fitted dimension {self.mean.shape[0]}")
         return (windows - self.mean) @ self.components.T
-
-    def inverse_transform(self, reduced: np.ndarray) -> np.ndarray:
-        return np.asarray(reduced, dtype=np.float64) @ self.components + self.mean
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(

@@ -29,14 +29,12 @@ class TrainingBatch:
     target_x: np.ndarray          # [rows, d]
     source_indices: np.ndarray
     target_indices: np.ndarray
-    micro_size: int | None = None
-    num_classes: int | None = None
 
     def __len__(self) -> int:
         return self.source_x.shape[0]
 
 
-def compute_micro_size(source: DomainDataset, cap: int = 32) -> int:
+def compute_micro_size(source: DomainDataset, cap: int) -> int:
     """Micro-block size m: the smallest per-class sample count, capped."""
     if cap < 1:
         raise PipelineError(f"cap must be >= 1, got {cap}")
@@ -79,8 +77,6 @@ class EpochPlan:
     Every plan runs max(min_count // m, 1) batches of m rows per class, where
     min_count is the smallest source class count.
     """
-
-    _blocks = True   # rows [j*m:(j+1)*m] of a batch are class j's
 
     def __init__(self, source: DomainDataset, target: DomainDataset, micro_size: int,
                  seed: int, epoch: int = 0, with_replacement: bool = False):
@@ -146,15 +142,11 @@ class EpochPlan:
             target_x=self.target.windows[tgt_idx],
             source_indices=src_idx,
             target_indices=tgt_idx,
-            micro_size=self.micro_size if self._blocks else None,
-            num_classes=self.num_classes if self._blocks else None,
         )
 
 
 class PlainEpochPlan(EpochPlan):
     """Ablation control: uniformly shuffled batches, same size and count as micro plans."""
-
-    _blocks = False
 
     def __init__(self, source: DomainDataset, target: DomainDataset, micro_size: int,
                  seed: int, epoch: int = 0):

@@ -242,18 +242,6 @@ def log_clamped(a, floor: float = 1e-12) -> Tensor:
 # reductions
 
 
-def sum_all(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.sum())
-    shape = a.data.shape
-
-    def grad(g, needs):
-        return (np.full(shape, float(g.reshape(()))),)
-
-    _record("sum_all", out, (a,), grad)
-    return out
-
-
 def mean_all(a) -> Tensor:
     a = as_tensor(a)
     if a.data.size == 0:
@@ -399,25 +387,6 @@ def pick(a, indices) -> Tensor:
 # network layers
 
 
-def _pad_amounts(length: int, kernel: int, stride: int, padding: str) -> tuple[int, int]:
-    if padding == "valid":
-        return 0, 0
-    if padding != "same":
-        raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
-    out_len = -(-length // stride)
-    total = max(0, (out_len - 1) * stride + kernel - length)
-    left = total // 2
-    return left, total - left
-
-
-def _pad(x, pad_left, pad_right):
-    if pad_left == pad_right == 0:
-        return x
-    xp = np.zeros(x.shape[:2] + (pad_left + x.shape[2] + pad_right,))
-    xp[:, :, pad_left:pad_left + x.shape[2]] = x
-    return xp
-
-
 _ROW_BLOCK = 128   # batch rows per forward block; its padded input and scratch stay cache-sized
 
 
@@ -431,29 +400,25 @@ def _tap_product(tap, x, out):
     return np.matmul(tap, x, out=out)
 
 
-def _conv1d_forward(xd, taps, b, stride, pad_left, pad_right, activation, slope):
+def _conv1d_forward(xd, taps, b, pad_left, activation, slope):
     """Cross-correlate [batch, in, length] input with per-tap matrices [k, out, in], then
     bias and activation, 128 rows at a time. Each block is padded into one zeroed scratch;
-    tap j reads its strided view xb[:, :, j : j + span : stride], so no im2col copy is
-    built. A row's output never depends on the other rows of its block."""
+    tap j reads its view xb[:, :, j : j + length], so no im2col copy is built. A row's
+    output never depends on the other rows of its block."""
     batch, n_in, length = xd.shape
     kernel, n_out = taps.shape[:2]
-    padded = pad_left + length + pad_right
-    out_len = (padded - kernel) // stride + 1
-    span = stride * (out_len - 1) + 1
-    out = np.empty((batch, n_out, out_len))
+    out = np.empty((batch, n_out, length))
     rows = min(batch, _ROW_BLOCK)
-    xp = np.zeros((rows, n_in, padded))
-    tmp = np.empty((rows, n_out, out_len))
+    xp = np.zeros((rows, n_in, length + kernel - 1))
+    tmp = np.empty((rows, n_out, length))
     for lo in range(0, batch, _ROW_BLOCK):
         n = min(rows, batch - lo)
         xb, ob = xp[:n], out[lo:lo + n]
         xb[:, :, pad_left:pad_left + length] = xd[lo:lo + n]
-        _tap_product(taps[0], xb[:, :, :span:stride], ob)
+        _tap_product(taps[0], xb[:, :, :length], ob)
         for j in range(1, kernel):
-            ob += _tap_product(taps[j], xb[:, :, j:j + span:stride], tmp[:n])
-        if b is not None:
-            ob += b[:, None]
+            ob += _tap_product(taps[j], xb[:, :, j:j + length], tmp[:n])
+        ob += b[:, None]
         # in place, and equal to relu()/leaky_relu(): for a slope in [0, 1], max(z, slope*z)
         # is z where z > 0 and slope*z elsewhere, NaN included
         if activation == "relu":
@@ -463,20 +428,21 @@ def _conv1d_forward(xd, taps, b, stride, pad_left, pad_right, activation, slope)
     return out
 
 
-def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
-           activation: str = "linear", slope: float = 0.2) -> Tensor:
-    """1-D cross-correlation over [batch, channels_in, length] input, then an activation.
+def conv1d(x, kernels, bias, activation: str = "linear", slope: float = 0.2) -> Tensor:
+    """Length-preserving 1-D cross-correlation over [batch, channels_in, length] input,
+    plus a per-filter bias, then an activation.
 
     The input must be batched, a batch of one included; the output is
-    [batch, channels_out, out_length], with out_length following the usual
-    floor((padded - k) / stride) + 1 rule. `activation` is "linear",
-    "relu" or "leaky_relu" (negative slope `slope`, in [0, 1]); the result
-    equals conv1d followed by relu()/leaky_relu() bit for bit, recorded as
-    one tape op. Forward, input gradient and kernel gradient are each one
-    GEMM per kernel tap, the forward's per block of 128 batch rows.
+    [batch, channels_out, length]. The stride is 1, and a width-k kernel
+    sees (k - 1) // 2 zeros left of the input and the rest of k - 1 right
+    of it, so an even width pads the extra zero on the right. `activation`
+    is "linear", "relu" or "leaky_relu" (negative slope `slope`, in
+    [0, 1]); the result equals conv1d followed by relu()/leaky_relu() bit
+    for bit, recorded as one tape op. Forward, input gradient and kernel
+    gradient are each one GEMM per kernel tap, the forward's per block of
+    128 batch rows.
     """
-    x, kernels = as_tensor(x), as_tensor(kernels)
-    bias = as_tensor(bias) if bias is not None else None
+    x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     xd = x.data
     if xd.ndim != 3:
         raise ShapeError(f"conv1d input must be [batch, channels, length], got {xd.shape}")
@@ -484,25 +450,19 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
         raise ShapeError(f"conv1d kernels must be [out, in, k], got {kernels.data.shape}")
     if kernels.data.shape[1] != xd.shape[1]:
         raise ShapeError(f"kernel input channels {kernels.data.shape[1]} do not match input channels {xd.shape[1]}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
     if activation not in ("linear", "relu", "leaky_relu"):
         raise ValueError(f"conv1d activation must be 'linear', 'relu' or 'leaky_relu', got {activation!r}")
     if activation == "leaky_relu" and not 0.0 <= slope <= 1.0:
         raise ValueError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     n_out, n_in, kernel = kernels.data.shape
-    if bias is not None and bias.data.shape != (n_out,):
+    if bias.data.shape != (n_out,):
         raise ShapeError(f"bias must have shape ({n_out},), got {bias.data.shape}")
     length = xd.shape[2]
-    pl, pr = _pad_amounts(length, kernel, stride, padding)
-    if kernel > length + pl + pr:
-        raise ShapeError(f"kernel size {kernel} exceeds padded length {length + pl + pr}")
+    pl = (kernel - 1) // 2
 
     taps = np.ascontiguousarray(kernels.data.transpose(2, 0, 1))
-    out_data = _conv1d_forward(xd, taps, None if bias is None else bias.data, stride, pl, pr,
-                               activation, slope)
+    out_data = _conv1d_forward(xd, taps, bias.data, pl, activation, slope)
     out = Tensor(out_data)
-    span = stride * (out_data.shape[2] - 1) + 1
 
     def grad(g, needs):
         if activation != "linear":
@@ -518,29 +478,28 @@ def conv1d(x, kernels, bias=None, stride: int = 1, padding: str = "same",
                 g = factor
         d_x = d_k = d_b = None
         if needs[0]:
-            dxp = np.zeros(xd.shape[:2] + (pl + length + pr,))
-            tmp = np.empty(out_data.shape[:1] + (n_in, out_data.shape[2]))
+            dxp = np.zeros(xd.shape[:2] + (length + kernel - 1,))
+            tmp = np.empty(out_data.shape[:1] + (n_in, length))
             for j in range(kernel):
-                dxp[:, :, j:j + span:stride] += _tap_product(taps[j].T, g, tmp)
+                dxp[:, :, j:j + length] += _tap_product(taps[j].T, g, tmp)
             d_x = dxp[:, :, pl:pl + length]
         if needs[1]:
-            xp = _pad(xd, pl, pr)
+            xp = np.zeros(xd.shape[:2] + (length + kernel - 1,))
+            xp[:, :, pl:pl + length] = xd
             d_k = np.empty(kernels.data.shape)
             for j in range(kernel):
-                d_k[:, :, j] = np.matmul(g, xp[:, :, j:j + span:stride].transpose(0, 2, 1)).sum(axis=0)
-        if bias is not None and needs[2]:
+                d_k[:, :, j] = np.matmul(g, xp[:, :, j:j + length].transpose(0, 2, 1)).sum(axis=0)
+        if needs[2]:
             d_b = g.sum(axis=(0, 2))
-        return (d_x, d_k) if bias is None else (d_x, d_k, d_b)
+        return d_x, d_k, d_b
 
-    inputs = (x, kernels) if bias is None else (x, kernels, bias)
-    _record("conv1d", out, inputs, grad)
+    _record("conv1d", out, (x, kernels, bias), grad)
     return out
 
 
-def dense(x, weights, bias=None) -> Tensor:
+def dense(x, weights, bias) -> Tensor:
     """Affine map: batched input x [batch, n] against weights [m, n] plus bias [m]."""
-    x, weights = as_tensor(x), as_tensor(weights)
-    bias = as_tensor(bias) if bias is not None else None
+    x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
     if weights.data.ndim != 2:
         raise ShapeError(f"dense weights must be 2-D [units, features], got {weights.data.shape}")
     m, n = weights.data.shape
@@ -549,19 +508,17 @@ def dense(x, weights, bias=None) -> Tensor:
         raise ShapeError(f"dense input must be [batch, features], got {xd.shape}")
     if xd.shape[1] != n:
         raise ShapeError(f"dense input features {x.data.shape} do not match weights {weights.data.shape}")
-    if bias is not None and bias.data.shape != (m,):
+    if bias.data.shape != (m,):
         raise ShapeError(f"dense bias must have shape ({m},), got {bias.data.shape}")
 
     wd = weights.data
-    out_data = xd @ wd.T if bias is None else xd @ wd.T + bias.data
-    out = Tensor(out_data)
+    out = Tensor(xd @ wd.T + bias.data)
 
     def grad(g, needs):
         d_x = (g @ wd) if needs[0] else None
         d_w = (g.T @ xd) if needs[1] else None
-        d_b = g.sum(axis=0) if bias is not None and needs[2] else None
-        return (d_x, d_w) if bias is None else (d_x, d_w, d_b)
+        d_b = g.sum(axis=0) if needs[2] else None
+        return d_x, d_w, d_b
 
-    inputs = (x, weights) if bias is None else (x, weights, bias)
-    _record("dense", out, inputs, grad)
+    _record("dense", out, (x, weights, bias), grad)
     return out

@@ -1,4 +1,5 @@
-"""Shared helpers: finite-difference oracles and tolerance rules.
+"""Shared helpers: finite-difference oracles, tolerance rules, and the parameter
+count and PCA reconstruction that only the tests need.
 
 Gradient comparisons accept a point when the relative error is below 1e-4,
 with an absolute floor of 1e-6 so that near-zero gradients are not judged
@@ -42,3 +43,12 @@ def max_gradient_error(numeric, analytic, rel=REL_TOL, floor=ABS_FLOOR):
     scale = np.maximum(np.abs(numeric), np.abs(analytic))
     allowed = np.maximum(floor, rel * scale)
     return float(np.max(diff / allowed)) if diff.size else 0.0
+
+
+def parameter_count(net) -> int:
+    return int(sum(p.data.size for p in net.parameters().values()))
+
+
+def pca_inverse(model, reduced):
+    """Windows back from their PCA coordinates: reduced @ components + mean."""
+    return np.asarray(reduced, dtype=np.float64) @ model.components + model.mean

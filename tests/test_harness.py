@@ -225,6 +225,15 @@ def test_prepare_reruns_are_byte_identical(tmp_path):
            (cfg_b.prepared_dir / "pca.json").read_bytes()
 
 
+def test_prepare_without_pca_removes_the_earlier_pca_model(tmp_path):
+    prepare_run(resolve_config(base_config(tmp_path / "out", preprocessing={"pca_dim": 4})))
+    cfg = resolve_config(base_config(tmp_path / "out"))
+    assert (cfg.prepared_dir / "pca.json").exists()
+    prepare_run(cfg)
+    assert json.loads((cfg.prepared_dir / "prepare.json").read_text())["pca"] is None
+    assert not (cfg.prepared_dir / "pca.json").exists()
+
+
 def test_load_prepared_requires_prepare_first(tmp_path):
     cfg = resolve_config(base_config(tmp_path / "out"))
     with pytest.raises(PipelineError, match="prepare"):
@@ -267,6 +276,16 @@ def test_prepare_from_csv(tmp_path):
     assert total == 24
     for ds in splits.values():  # fitted min-max pins everything into [0, 1]
         assert ds.windows.min() >= 0.0 and ds.windows.max() <= 1.0
+
+
+def test_prepare_from_csv_removes_the_earlier_synthetic_normalization(tmp_path):
+    path = synthetic_csv(tmp_path)
+    prepare_run(resolve_config(base_config(tmp_path / "out")))
+    cfg = resolve_config(csv_config(tmp_path / "out", path))
+    assert (cfg.prepared_dir / "normalization.json").exists()
+    prepare_run(cfg)
+    assert (cfg.prepared_dir / "prepare.json").exists()
+    assert not (cfg.prepared_dir / "normalization.json").exists()
 
 
 def test_prepare_csv_unknown_subject(tmp_path):

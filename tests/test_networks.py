@@ -9,10 +9,11 @@ import pytest
 from subadapt.checkpoint import load_checkpoint, save_bundle, save_checkpoint
 from subadapt.harness import NetworkConfig
 from subadapt.networks import (Classifier, ClassifierSpec, ConvLayer, Discriminator,
-                               DiscriminatorSpec, Generator, GeneratorSpec, build_bundle,
-                               parameter_count)
+                               DiscriminatorSpec, Generator, GeneratorSpec, build_bundle)
 from subadapt.pipeline import PipelineError
 from subadapt.tensor import ShapeError, Tape, Tensor
+
+from conftest import parameter_count
 
 
 def small_specs(dim=10, classes=3, seed=0):

@@ -21,13 +21,13 @@ def unlabeled(n, dim=4, seed=1):
 
 
 def test_micro_size_is_min_count_capped():
-    assert compute_micro_size(labeled([50, 40, 60])) == 32
-    assert compute_micro_size(labeled([50, 7, 60])) == 7
+    assert compute_micro_size(labeled([50, 40, 60]), cap=32) == 32
+    assert compute_micro_size(labeled([50, 7, 60]), cap=32) == 7
     assert compute_micro_size(labeled([50, 40, 60]), cap=16) == 16
     with pytest.raises(PipelineError, match="cap must be >= 1, got 0"):
         compute_micro_size(labeled([50, 40, 60]), cap=0)
     with pytest.raises(PipelineError, match=r"classes with no samples: \[1\]"):
-        compute_micro_size(DomainDataset("s", np.zeros((3, 2)), [0, 0, 2], 3))
+        compute_micro_size(DomainDataset("s", np.zeros((3, 2)), [0, 0, 2], 3), cap=32)
 
 
 def test_each_batch_holds_exactly_m_per_class():
@@ -101,7 +101,7 @@ def test_plan_validation():
 
 def test_plain_plan_matches_size_and_count_without_balancing():
     src, tgt = labeled([40, 8, 40]), unlabeled(30)
-    m = compute_micro_size(src)  # 8
+    m = compute_micro_size(src, cap=32)  # 8
     micro = EpochPlan(src, tgt, m, seed=4)
     plain = PlainEpochPlan(src, tgt, m, seed=4)
     micro_batches, plain_batches = list(micro), list(plain)
@@ -122,7 +122,6 @@ def test_plain_plan_draws_whole_permutations():
     (batch,) = list(PlainEpochPlan(src, tgt, 5, seed=0))
     assert sorted(batch.source_indices[:6].tolist()) == list(range(6))
     assert len(set(batch.source_indices[6:].tolist())) == 4
-    assert batch.micro_size is None and batch.num_classes is None
 
 
 def test_plain_plan_validation():

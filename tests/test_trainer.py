@@ -30,8 +30,7 @@ def tiny_batch(m=2, seed=0):
     return TrainingBatch(source_x=rng.uniform((n, DIM)),
                          source_y=np.repeat(np.arange(CLASSES), m),
                          target_x=rng.uniform((n, DIM)),
-                         source_indices=np.arange(n), target_indices=np.arange(n),
-                         micro_size=m, num_classes=CLASSES)
+                         source_indices=np.arange(n), target_indices=np.arange(n))
 
 
 def tiny_domains(n=24, seed=0):
