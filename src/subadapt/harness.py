@@ -320,7 +320,8 @@ _TRAIN_SPLITS = ("source_train", "target_train")
 
 
 def _synthetic_splits(cfg: RunConfig):
-    """The two train splits, and a function that draws the other four afterwards."""
+    """The two train splits, the one matrix whose row halves they are, and a function
+    that draws the other four afterwards."""
     stream = SyntheticStream(cfg.synth)
     n_train, n_val, _ = split_sizes(len(stream), cfg.preprocessing.split)
 
@@ -331,12 +332,14 @@ def _synthetic_splits(cfg: RunConfig):
             rest[f"{role}_test"] = ds.take(slice(n_val, len(ds)))
         return rest
 
-    return dict(zip(_TRAIN_SPLITS, generate_synthetic_pair(stream, n_train))), draw_rest
+    pooled = np.empty((2 * n_train, cfg.synth.window_dim))
+    train = generate_synthetic_pair(stream, n_train, out=pooled)
+    return dict(zip(_TRAIN_SPLITS, train)), pooled, draw_rest
 
 
 def _csv_splits(cfg: RunConfig):
-    """The two train splits, and a function that returns the other four; all six are
-    views of the scaled windows of each subject."""
+    """The two train splits, no pooled matrix, and a function that returns the other
+    four; all six are views of the scaled windows of each subject."""
     c = cfg.csv
     recordings = load_recordings(c.path, c.schema, c.sample_rate)
     by_subject = {r.subject_id: r for r in recordings}
@@ -357,7 +360,7 @@ def _csv_splits(cfg: RunConfig):
         datasets.extend(split_domain(ds, cfg.preprocessing.split))
     rest = dict(zip(SPLIT_NAMES, datasets))
     train = {name: rest.pop(name) for name in _TRAIN_SPLITS}
-    return train, lambda: rest
+    return train, None, lambda: rest
 
 
 def _transformed(splits: dict, norm, pca) -> dict:
@@ -374,14 +377,16 @@ def prepare_run(cfg: RunConfig) -> dict:
     """Generate or ingest, split, normalize, reduce; persist everything.
 
     Everything fit on train is fit before the other splits are needed: the
-    train splits are scaled (synthetic only), PCA is fit on them and they are
-    reduced, which frees their raw windows. Only then does the synthetic
-    corpus draw its val and test windows; a CSV corpus already holds them as
-    views. Those are scaled in place and reduced one split at a time.
+    train splits, drawn as the row halves of one pooled matrix (a CSV corpus
+    copies them into one for PCA), are scaled in place (synthetic only), PCA
+    centres that matrix in place and they are reduced from its rows, which
+    frees their raw windows. Only then does the synthetic corpus draw its val
+    and test windows; a CSV corpus already holds them as views. Those are
+    scaled in place and reduced one split at a time.
     """
     started = time.time()
-    train, take_rest = (_synthetic_splits if cfg.data_kind == "synthetic"
-                        else _csv_splits)(cfg)
+    train, pooled, take_rest = (_synthetic_splits if cfg.data_kind == "synthetic"
+                                else _csv_splits)(cfg)
 
     out = cfg.prepared_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -392,19 +397,20 @@ def prepare_run(cfg: RunConfig) -> dict:
 
     norm = None
     if cfg.data_kind == "synthetic":
-        # synthetic windows arrive unscaled; pin each dimension to [0, 1] on pooled
-        # train, whose range is that of the two train splits' own extremes
-        norm = fit_minmax(np.vstack([f(ds.windows, axis=0) for ds in train.values()
-                                     for f in (np.nanmin, np.nanmax)]))
+        # synthetic windows arrive unscaled; pin each dimension to [0, 1] on pooled train
+        norm = fit_minmax(pooled)
         norm.to_json(out / "normalization.json")
-    train = _transformed(train, norm, None)
+        norm.apply_in_place(pooled)   # scales the two train splits, its row halves
 
     pca, prep = None, cfg.preprocessing
     if prep.pca_dim is not None or prep.pca_fraction is not None:
-        pca = fit_pca(*(ds.windows for ds in train.values()), output_dim=prep.pca_dim,
-                      fraction=prep.pca_fraction)
+        if pooled is None:
+            pooled = np.concatenate([ds.windows for ds in train.values()])
+        pca = fit_pca(pooled, output_dim=prep.pca_dim, fraction=prep.pca_fraction)
         pca.to_json(out / "pca.json")
-        train = _transformed(train, None, pca)   # frees the raw train windows
+        train = {name: ds.with_windows(pca.project(rows)) for (name, ds), rows
+                 in zip(train.items(), np.split(pooled, [len(train["source_train"])]))}
+    del pooled   # with PCA, this frees the raw train windows
 
     splits = {**train, **_transformed(take_rest(), norm, pca)}
     splits = {name: splits[name] for name in SPLIT_NAMES}

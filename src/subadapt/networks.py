@@ -165,6 +165,18 @@ def _batch(value, dim: int, what: str) -> Tensor:
     return t
 
 
+def _through(layers, h: Tensor) -> Tensor:
+    """`h` [batch, channels, length] through the conv `layers`, 128 rows at a time when no
+    tape records: a row's output does not depend on its neighbours, so the bytes are the
+    whole pass's. A taped pass stays whole, or backward would re-sum the kernel gradient."""
+    if T.Tape.current() is None and h.shape[0] > T._ROW_BLOCK:
+        return Tensor(np.concatenate([_through(layers, Tensor(h.data[lo:lo + T._ROW_BLOCK])).data
+                                      for lo in range(0, h.shape[0], T._ROW_BLOCK)]))
+    for layer in layers:
+        h = layer(h)
+    return h
+
+
 class _Network:
     """What the three networks share: hidden `layers`, an `output_layer` and a `spec`.
     Parameters are named `<layer>.<param>`, in layer order."""
@@ -239,9 +251,7 @@ class Generator(_Network):
                 raise ShapeError(f"noise batch {zb.shape[0]} does not match input batch {n}")
             noise_channel = T.repeat_to_length(T.reshape(zb, (n, 1, self.spec.noise_dim)), d)
             h = T.concat([h, noise_channel], axis=1)
-        for layer in self.layers:
-            h = layer(h)
-        return T.reshape(self.output_layer(h), (n, d))
+        return T.reshape(_through((*self.layers, self.output_layer), h), (n, d))
 
 
 class _ConvStack(_Network):
@@ -263,12 +273,11 @@ class _ConvStack(_Network):
                                        self.head, rng)
 
     def forward(self, x) -> Tensor:
-        """[batch, input_dim] windows to the head's [batch, units] outputs."""
+        """[batch, input_dim] windows to the head's [batch, units] outputs; the head runs
+        over all rows at once, as row blocks would change its last bits."""
         xb = _batch(x, self.spec.input_dim, f"{self.kind} input")
         n, d = xb.shape
-        h = T.reshape(xb, (n, 1, d))
-        for layer in self.layers:
-            h = layer(h)
+        h = _through(self.layers, T.reshape(xb, (n, 1, d)))
         return self.output_layer(T.reshape(h, (n, self.output_layer.in_features)))
 
 

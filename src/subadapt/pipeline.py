@@ -484,7 +484,11 @@ class PcaModel:
         if windows.shape[-1] != self.mean.shape[0]:
             raise PipelineError(f"window dimension {windows.shape[-1]} does not match "
                                 f"fitted dimension {self.mean.shape[0]}")
-        return (windows - self.mean) @ self.components.T
+        return self.project(windows - self.mean)
+
+    def project(self, centred: np.ndarray) -> np.ndarray:
+        """Windows centred on `mean`, as fit_pca leaves its input, to their coordinates."""
+        return centred @ self.components.T
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(
@@ -512,39 +516,36 @@ class PcaSize:
         return self.output_dim if self.fraction is None else max(1, half_up(self.fraction * d))
 
 
-def fit_pca(*blocks: np.ndarray, output_dim: int | None = None,
+def fit_pca(windows: np.ndarray, output_dim: int | None = None,
             fraction: float | None = None) -> PcaModel:
-    """Fit on the pooled rows of one or more [rows, d] blocks; keep output_dim (or
-    round(fraction * d)) components.
+    """Fit on the rows of a [rows, d] float64 matrix and centre it in place, so the
+    caller gives up its raw values; keep output_dim (or round(fraction * d))
+    components. `PcaModel.project` reduces the centred rows.
 
     The components are the leading eigenvectors of the d x d scatter matrix of
     the centred windows. That costs O(rows * d^2 + d^3), against O(rows * d *
     min(rows, d)) for an SVD of the windows themselves, so it only loses when
-    there are fewer pooled windows than dimensions. The pooled matrix is a copy
-    of the blocks, centred in place and freed before the eigensolver runs; the
-    blocks themselves are left as they are. `prepare` passes the two train
-    splits before the synthetic val and test windows exist, so that copy and
-    the train windows are the largest arrays alive while it runs.
+    there are fewer windows than dimensions. `prepare` passes the one matrix
+    whose row halves are the two train splits, before the synthetic val and
+    test windows exist, so the train windows are held once while it runs.
     """
-    shapes = [np.shape(b) for b in blocks]
-    if not shapes or any(len(s) != 2 or s[1] != shapes[0][1] for s in shapes):
-        raise PipelineError(f"need [rows, d] blocks of one dimension d, got shapes {shapes}")
-    windows = np.concatenate(blocks, dtype=np.float64)
+    if not isinstance(windows, np.ndarray) or windows.dtype != np.float64 or windows.ndim != 2:
+        raise PipelineError(f"need a float64 [rows, d] array to centre in place, got "
+                            f"{type(windows).__name__} of shape {np.shape(windows)}")
     if windows.shape[0] < 2:
-        raise PipelineError(f"need at least 2 pooled windows, got shape {windows.shape}")
+        raise PipelineError(f"need at least 2 windows, got shape {windows.shape}")
     rows, d = windows.shape
     output_dim = PcaSize(output_dim, fraction).components(d)
     bound = min(rows, d)
     if output_dim > bound:
-        raise PipelineError(f"output_dim must lie in [1, {bound}] for {rows} pooled windows "
+        raise PipelineError(f"output_dim must lie in [1, {bound}] for {rows} windows "
                             f"of dimension {d}, got {output_dim}")
     mean = windows.mean(axis=0)
     windows -= mean
     scatter = windows.T @ windows
-    del windows                                           # free it before eigh's workspace
     total = np.trace(scatter)
     if total <= 0.0:
-        raise PipelineError("pooled windows have zero variance; nothing to decompose")
+        raise PipelineError("windows have zero variance; nothing to decompose")
     eigenvalues, eigenvectors = np.linalg.eigh(scatter)   # ascending
     # rank-deficient data can leave tiny negative eigenvalues
     leading = np.clip(eigenvalues[::-1][:output_dim], 0.0, None)
@@ -716,10 +717,13 @@ class SyntheticStream:
 
 
 def generate_synthetic_pair(spec_or_stream: SynthSpec | SyntheticStream,
-                            count: int | None = None):
+                            count: int | None = None, out: np.ndarray | None = None):
     """Build matched source/target datasets differing only by the declared subject shift:
     every window of a SynthSpec, or the next `count` windows (default: all that are
     left) of a SyntheticStream.
+
+    The k source windows are the first k rows of one [2k, window_dim] matrix, the
+    target windows the rest; a caller that passes that matrix as `out` keeps it.
 
     Per window the PCG64 stream yields source noise, target noise, then shift
     noise (only when `shift_noise > 0`), and one draw per block of windows reads
@@ -736,6 +740,8 @@ def generate_synthetic_pair(spec_or_stream: SynthSpec | SyntheticStream,
     k = len(stream) - lo if count is None else count
     if not 0 <= k <= len(stream) - lo:
         raise PipelineError(f"cannot draw {k} windows; {len(stream) - lo} are left")
+    if out is not None and not (out.flags.c_contiguous and out.shape == (2 * k, spec.window_dim)):
+        raise PipelineError(f"out must be a C-contiguous [{2 * k}, {spec.window_dim}] array")
     if stream.rng is None:   # the prototypes are the first values the stream yields
         stream.rng = RandomSource(spec.seed, "synthetic")
         stream.protos = _prototypes(spec, stream.rng)
@@ -744,8 +750,8 @@ def generate_synthetic_pair(spec_or_stream: SynthSpec | SyntheticStream,
     offset = np.broadcast_to(np.asarray(spec.offset, dtype=np.float64), (spec.channels,))
     draws = 3 if spec.shift_noise > 0 else 2
     block = max(1, _NOISE_BLOCK_BYTES // (draws * spec.window_dim * 8))
-    source = np.empty((k, spec.frames, spec.channels))
-    target = np.empty((k, spec.frames, spec.channels))
+    windows = np.empty((2 * k, spec.window_dim)) if out is None else out
+    source, target = windows.reshape(2, k, spec.frames, spec.channels)   # views
     for start in range(0, k, block):
         stop = min(start + block, k)
         noise = stream.rng.normal((stop - start, draws, spec.frames, spec.channels))
@@ -761,7 +767,5 @@ def generate_synthetic_pair(spec_or_stream: SynthSpec | SyntheticStream,
 
     labels = stream.order[lo:lo + k]
     label_names = tuple(f"c{i}" for i in range(spec.num_classes))
-    return (DomainDataset("source", source.reshape(k, spec.window_dim), labels,
-                          spec.num_classes, label_names),
-            DomainDataset("target", target.reshape(k, spec.window_dim), labels.copy(),
-                          spec.num_classes, label_names))
+    return (DomainDataset("source", windows[:k], labels, spec.num_classes, label_names),
+            DomainDataset("target", windows[k:], labels.copy(), spec.num_classes, label_names))

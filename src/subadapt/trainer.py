@@ -26,7 +26,6 @@ from .sampler import EpochPlan, PlainEpochPlan, TrainingBatch, compute_micro_siz
 from .tensor import Tape, Tensor, backward, paused
 
 PLATEAU_DELTA = 1e-3
-_DISCREPANCY_ROWS = 128   # generator rows per forward in _mean_discrepancy
 
 
 class DivergedError(RuntimeError):
@@ -225,13 +224,8 @@ def _mean_discrepancy(bundle: ModelBundle, source: DomainDataset, target: Domain
     """Distance between the generated-sample mean and the target-sample mean."""
     nd = bundle.generator.spec.noise_dim
     z = RandomSource(cfg.seed, "discrepancy", epoch).normal((len(source), nd)) if nd > 0 else None
-    # each row's output is independent of the rows sharing its call, so blocks that keep
-    # the activations cache-sized give the whole-batch bytes, faster
-    with paused():
-        fakes = np.concatenate([
-            bundle.generator.forward(source.windows[lo:lo + _DISCREPANCY_ROWS],
-                                     None if z is None else z[lo:lo + _DISCREPANCY_ROWS]).data
-            for lo in range(0, len(source), _DISCREPANCY_ROWS)])
+    with paused():   # the generator runs its conv layers in row blocks
+        fakes = bundle.generator.forward(source.windows, z).data
     return float(np.linalg.norm(fakes.mean(axis=0) - target.windows.mean(axis=0)))
 
 

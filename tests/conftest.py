@@ -1,11 +1,13 @@
 """Shared helpers: finite-difference oracles, tolerance rules, and the parameter
-count and PCA reconstruction that only the tests need.
+count, PCA reference fit and PCA reconstruction that only the tests need.
 
 Gradient comparisons accept a point when the relative error is below 1e-4,
 with an absolute floor of 1e-6 so that near-zero gradients are not judged
 by a meaningless ratio (central differences carry ~1e-10 of roundoff).
 """
 import numpy as np
+
+from subadapt.pipeline import PcaModel
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-6
@@ -52,3 +54,15 @@ def parameter_count(net) -> int:
 def pca_inverse(model, reduced):
     """Windows back from their PCA coordinates: reduced @ components + mean."""
     return np.asarray(reduced, dtype=np.float64) @ model.components + model.mean
+
+
+def pca_reference(pooled, output_dim):
+    """The PCA fit on a centred copy of the caller's pooled matrix, kept as the reference."""
+    mean = pooled.mean(axis=0)
+    centered = pooled - mean
+    scatter = centered.T @ centered
+    eigenvalues, eigenvectors = np.linalg.eigh(scatter)
+    components = eigenvectors[:, ::-1][:, :output_dim].T
+    flip = np.sign(components[np.arange(output_dim), np.argmax(np.abs(components), axis=1)])
+    return PcaModel(mean, components * np.where(flip == 0, 1.0, flip)[:, None],
+                    np.clip(eigenvalues[::-1][:output_dim], 0.0, None) / np.trace(scatter))

@@ -419,13 +419,13 @@ def test_a8_pipeline_goldens(tmp_path):
 
     # collinear points: one component carries everything
     line = np.linspace(-1.0, 1.0, 40)[:, None] * np.array([1.0, 2.0])
-    pca1 = fit_pca(line, output_dim=1)
+    pca1 = fit_pca(line.copy(), output_dim=1)
     check("pca collinear variance", abs(pca1.explained_variance_ratio[0] - 1.0) <= 1e-9)
     back = pca_inverse(pca1, pca1.transform(line))
     check("pca collinear reconstruction", np.max(np.abs(back - line)) <= 1e-9)
 
     cloud = np.random.default_rng(3).normal(size=(60, 5))
-    pca5 = fit_pca(cloud, output_dim=5)
+    pca5 = fit_pca(cloud.copy(), output_dim=5)
     check("pca full basis", np.max(np.abs(
         pca_inverse(pca5, pca5.transform(cloud)) - cloud)) <= 1e-9)
 

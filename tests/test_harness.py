@@ -9,14 +9,18 @@ import numpy as np
 import pytest
 
 from subadapt import harness
+from subadapt.checkpoint import save_checkpoint
 from subadapt.harness import (ConfigError, apply_overrides, baselines_run, evaluate_run,
                               load_config, load_prepared, prepare_run, resolve_config,
                               synth_run, train_run)
-from subadapt.pipeline import (CsvSchema, PcaModel, PcaSize, PipelineError, RawRecording,
+from subadapt.networks import Classifier, ConvLayer
+from subadapt.pipeline import (CsvSchema, PcaSize, PipelineError, RawRecording,
                                SynthSpec, apply_pca, fit_minmax, generate_synthetic_pair,
                                impute_missing, load_recordings, save_recordings_csv,
                                segment_windows, split_domain)
 from subadapt.trainer import TrainerConfig
+
+from conftest import pca_reference
 
 
 def base_config(out_dir, **extra):
@@ -329,18 +333,6 @@ def _scaled_reference(model, values):
     return np.clip(np.where(span == 0, 0.5, out), 0.0, 1.0)
 
 
-def _pca_reference(pooled, output_dim):
-    """The PCA fit on a centred copy of the caller's pooled matrix, kept as the reference."""
-    mean = pooled.mean(axis=0)
-    centered = pooled - mean
-    scatter = centered.T @ centered
-    eigenvalues, eigenvectors = np.linalg.eigh(scatter)
-    components = eigenvectors[:, ::-1][:, :output_dim].T
-    flip = np.sign(components[np.arange(output_dim), np.argmax(np.abs(components), axis=1)])
-    return PcaModel(mean, components * np.where(flip == 0, 1.0, flip)[:, None],
-                    np.clip(eigenvalues[::-1][:output_dim], 0.0, None) / np.trace(scatter))
-
-
 def _prepare_reference(cfg, out):
     """The splits, normalization.json and pca.json of `cfg` prepared the copying way:
     index-array split copies, out-of-place scaling, a raw pooled train stack scaled on
@@ -370,7 +362,7 @@ def _prepare_reference(cfg, out):
         norm.to_json(out / "normalization.json")
     prep = cfg.preprocessing
     output_dim = PcaSize(prep.pca_dim, prep.pca_fraction).components(pooled.shape[1])
-    pca = _pca_reference(pooled, output_dim)
+    pca = pca_reference(pooled, output_dim)
     pca.to_json(out / "pca.json")
     for name, ds in splits.items():
         apply_pca(pca, ds).save(out / name)
@@ -414,7 +406,7 @@ def test_prepare_writes_the_bytes_of_the_copying_reference(tmp_path, kind):
         assert (cfg.prepared_dir / name).read_bytes() == (reference / name).read_bytes(), name
 
 
-def test_prepare_memory_stays_near_the_windows_and_one_pooled_train_matrix(tmp_path):
+def test_prepare_memory_stays_near_the_train_windows_held_once(tmp_path):
     # the benchmark's classify corpus: 9,600 windows of 8 channels x 25 frames per subject
     raw = base_config(tmp_path / "out", preprocessing={"pca_dim": 50})
     raw["data"]["synthetic"] = {"num_classes": 4, "channels": 8, "frames": 25,
@@ -428,10 +420,63 @@ def test_prepare_memory_stays_near_the_windows_and_one_pooled_train_matrix(tmp_p
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the raw train windows and the one matrix fit_pca pools them into; the val and
-    # test windows are drawn only after the raw train windows are freed
+    # the raw train windows, drawn into the one matrix fit_pca centres in place; the val
+    # and test windows are drawn only after the raw train windows are freed
     train = (len(splits["source_train"]) + len(splits["target_train"])) * cfg.synth.window_dim * 8
-    assert peak <= train + train + 8 * 2**20
+    assert peak <= train + 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark's tracer wraps
+
+
+def _count_calls(monkeypatch, owner, names) -> dict:
+    """Replace each attribute `names` of `owner` with a stand-in that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "csv"])
+def test_prepare_draws_fits_and_reduces_through_the_harness_names(tmp_path, monkeypatch, kind):
+    if kind == "synthetic":
+        raw, reads = base_config(tmp_path / "out"), ("generate_synthetic_pair",)
+    else:
+        raw = csv_config(tmp_path / "out", _gappy_csv(tmp_path))
+        reads = ("load_recordings", "impute_missing", "segment_windows")
+    raw["preprocessing"] = {"pca_dim": 3}
+    calls = _count_calls(monkeypatch, harness, reads + ("fit_pca", "apply_pca"))
+    prepare_run(resolve_config(raw))
+    assert all(calls.values()), calls
+
+
+def test_evaluate_runs_every_conv_layer_inside_classifier_forward(tmp_path, monkeypatch):
+    raw = base_config(tmp_path / "out", preprocessing={"pca_dim": 5})
+    raw["data"]["synthetic"]["class_counts"] = [250, 250]   # 150 test windows: two row blocks
+    cfg = resolve_config(raw)
+    prepare_run(cfg)
+    checkpoint = cfg.run_dir("no_transfer") / "checkpoint.json"
+    checkpoint.parent.mkdir(parents=True)
+    save_checkpoint({"classifier": Classifier(cfg.networks.specs(5, 2, cfg.seed)[2])},
+                    checkpoint, seed=cfg.seed)
+    inside, conv_calls = [0], []
+    forward, call = Classifier.forward, ConvLayer.__call__
+
+    def counted_forward(self, x):
+        inside[0] += 1
+        try:
+            return forward(self, x)
+        finally:
+            inside[0] -= 1
+    monkeypatch.setattr(Classifier, "forward", counted_forward)
+    monkeypatch.setattr(ConvLayer, "__call__",
+                        lambda self, t: conv_calls.append(inside[0]) or call(self, t))
+    evaluate_run(cfg, checkpoint_path=checkpoint)
+    assert conv_calls == [1] * 3 * 2   # three conv layers, each once per row block
 
 
 # ---------------------------------------------------------------------------

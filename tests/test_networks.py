@@ -2,6 +2,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from subadapt.harness import NetworkConfig
 from subadapt.networks import (Classifier, ClassifierSpec, ConvLayer, Discriminator,
                                DiscriminatorSpec, Generator, GeneratorSpec, build_bundle)
 from subadapt.pipeline import PipelineError
-from subadapt.tensor import ShapeError, Tape, Tensor
+from subadapt.tensor import _ROW_BLOCK, ShapeError, Tape, Tensor, paused
 
 from conftest import parameter_count
 
@@ -128,6 +129,70 @@ def test_each_conv_layer_call_is_one_tape_op():
             assert tape.ops[0].output is out and out.shape == (4, layer.out_channels, 10)
             activations.add(layer.activation)
     assert activations == {"relu", "leaky_relu", "linear"}
+
+
+def _forwards(bundle, rows):
+    """Each network's forward over `rows` windows (with noise for the generator)."""
+    rng = np.random.default_rng(rows)
+    x, z = rng.normal(size=(rows, 10)), rng.normal(size=(rows, 2))
+    return {"generator": lambda: bundle.generator.forward(x, z),
+            "discriminator": lambda: bundle.discriminator.forward(x),
+            "classifier": lambda: bundle.classifier.forward(x)}
+
+
+@pytest.mark.parametrize("rows", [0, 1, _ROW_BLOCK, _ROW_BLOCK + 1, 300])
+def test_paused_forwards_in_row_blocks_equal_one_taped_whole_batch_forward(rows):
+    bundle = build_bundle(*small_specs())
+    rng = np.random.default_rng(7)
+    for p in bundle.generator.parameters().values():   # off the identity start
+        p.data[...] = rng.normal(size=p.shape)
+    for kind, forward in _forwards(bundle, rows).items():
+        with Tape() as tape:   # a taped forward runs every conv layer over the whole batch
+            whole = forward().data
+        assert all(op.output.shape[0] == rows for op in tape.ops if op.name == "conv1d")
+        with paused():
+            blocked = forward().data
+        assert blocked.shape == whole.shape and blocked.tobytes() == whole.tobytes(), kind
+
+
+def test_taped_forward_past_one_block_records_the_whole_batch_ops():
+    bundle = build_bundle(*small_specs())
+    expected = {
+        "generator": ["reshape", "reshape", "repeat_to_length", "concat",
+                      "conv1d", "conv1d", "conv1d", "reshape"],
+        "discriminator": ["reshape", "conv1d", "conv1d", "conv1d", "conv1d", "conv1d",
+                          "reshape", "dense", "tanh", "reshape"],
+        "classifier": ["reshape", "conv1d", "conv1d", "conv1d", "reshape", "dense", "softmax"],
+    }
+    for kind, forward in _forwards(bundle, 200).items():
+        with Tape() as tape:
+            forward()
+        assert [op.name for op in tape.ops] == expected[kind], kind
+        assert all(op.output.shape[0] == 200 for op in tape.ops), kind
+
+
+def test_predict_on_no_windows_is_an_empty_int64_array():
+    cls = Classifier(ClassifierSpec(10, num_classes=3, base_filters=8))
+    preds = cls.predict(np.empty((0, 10)))
+    assert preds.shape == (0,) and preds.dtype == np.int64
+
+
+def test_predict_memory_stays_below_one_whole_batch_activation():
+    # the benchmark's classify scoring: 2,880 target test windows of 50 PCA dimensions
+    cls = Classifier(ClassifierSpec(50, num_classes=4, base_filters=16))
+    windows = np.random.default_rng(8).normal(size=(2880, 50))
+    tracemalloc.start()
+    try:
+        preds = cls.predict(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert preds.shape == (2880,)
+    # a whole-batch pass holds conv0's 16-channel output (18.4 MB) beside conv1's; in row
+    # blocks, the last conv layer's 4-channel output twice (its blocks and their
+    # concatenation) and one block's scratch
+    last = len(windows) * 4 * 50 * 8
+    assert peak <= 2 * last + 2**20
 
 
 def test_discriminator_output_is_bounded_by_tanh():

@@ -14,7 +14,7 @@ from subadapt.pipeline import (CsvSchema, DomainDataset, NormalizationModel,
                                save_recordings_csv, segment_windows, split_domain,
                                _NOISE_BLOCK_BYTES, _interleave_classes)
 
-from conftest import pca_inverse
+from conftest import pca_inverse, pca_reference
 
 
 def test_half_up_rounding():
@@ -494,33 +494,34 @@ def test_pca_components_are_orthonormal():
 def test_pca_full_rank_reconstruction():
     rng = np.random.default_rng(24)
     data = rng.normal(size=(60, 8))
-    model = fit_pca(data, output_dim=8)
+    model = fit_pca(data.copy(), output_dim=8)
     assert np.allclose(pca_inverse(model, model.transform(data)), data, atol=1e-8)
 
 
 def test_pca_sign_convention_is_deterministic():
     rng = np.random.default_rng(25)
     data = rng.normal(size=(100, 6))
-    a = fit_pca(data, output_dim=4)
+    a = fit_pca(data.copy(), output_dim=4)
     b = fit_pca(data.copy(), output_dim=4)
     assert np.array_equal(a.components, b.components)
     peaks = a.components[np.arange(4), np.argmax(np.abs(a.components), axis=1)]
     assert np.all(peaks > 0)
 
 
-def test_pca_pools_its_blocks_and_leaves_them_unchanged():
+def test_pca_centres_its_argument_in_place_with_the_bytes_of_the_copying_reference():
     rng = np.random.default_rng(29)
-    a, b = rng.normal(size=(40, 6)), rng.normal(size=(25, 6)) + 1.0
-    kept = a.copy(), b.copy()
-    pooled = fit_pca(a, b, output_dim=3)
-    assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1])
-    whole = fit_pca(np.vstack([a, b]), output_dim=3)
+    pooled = np.vstack([rng.normal(size=(40, 6)), rng.normal(size=(25, 6)) + 1.0])
+    raw = pooled.copy()
+    model = fit_pca(pooled, output_dim=3)
+    reference = pca_reference(raw.copy(), 3)
     for field in ("mean", "components", "explained_variance_ratio"):
-        assert getattr(pooled, field).tobytes() == getattr(whole, field).tobytes()
-    with pytest.raises(PipelineError, match="one dimension"):
-        fit_pca(a, b[:, :5], output_dim=3)
-    with pytest.raises(PipelineError, match="blocks"):
-        fit_pca(output_dim=3)
+        assert getattr(model, field).tobytes() == getattr(reference, field).tobytes()
+    assert pooled.tobytes() == (raw - model.mean).tobytes()   # the caller's rows, centred
+    # the centred rows project to the bytes that transform gives the raw rows
+    assert model.project(pooled).tobytes() == model.transform(raw).tobytes()
+    for bad in (raw[:, 0], raw.astype(np.float32), raw.tolist()):
+        with pytest.raises(PipelineError, match="centre in place"):
+            fit_pca(bad, output_dim=1)
 
 
 def test_pca_fraction_selects_component_count():
@@ -580,7 +581,7 @@ def test_pca_matches_svd_reference(rows, dims, rank, output_dim):
     else:
         data = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, dims))
         compared = rank   # beyond the rank, any orthonormal basis of the null space will do
-    model = fit_pca(data, output_dim=output_dim)
+    model = fit_pca(data.copy(), output_dim=output_dim)
     ref_components, ref_ratios = _svd_reference(data, output_dim)
     assert model.components.shape == (output_dim, dims)
     assert np.allclose(model.components @ model.components.T, np.eye(output_dim),
@@ -606,7 +607,7 @@ def test_pca_serialization_round_trip(tmp_path):
 def test_apply_pca_preserves_labels():
     ds = DomainDataset("s", np.random.default_rng(29).normal(size=(10, 6)),
                        np.arange(10) % 2, 2)
-    model = fit_pca(ds.windows, output_dim=3)
+    model = fit_pca(ds.windows.copy(), output_dim=3)
     out = apply_pca(model, ds)
     assert out.dim == 3
     assert np.array_equal(out.labels, ds.labels)

@@ -9,8 +9,8 @@ from subadapt.networks import (Classifier, ClassifierSpec, DiscriminatorSpec, Ge
 from subadapt.pipeline import DomainDataset, SynthSpec, generate_synthetic_pair
 from subadapt.rng import RandomSource
 from subadapt.sampler import EpochPlan, TrainingBatch
-from subadapt.tensor import Tape, backward, paused
-from subadapt.trainer import (_DISCREPANCY_ROWS, DivergedError, TrainerConfig, _mean_discrepancy,
+from subadapt.tensor import _ROW_BLOCK, Tape, backward
+from subadapt.trainer import (DivergedError, TrainerConfig, _mean_discrepancy,
                               _plateaued, classifier_loss, discriminator_loss, generator_loss,
                               make_state, optimal_discriminator_value, train, train_classifier,
                               train_step)
@@ -261,7 +261,7 @@ def test_mean_discrepancy_shrinks_on_an_offset_shift():
 
 @pytest.mark.parametrize("noise_dim", [0, 2])
 def test_mean_discrepancy_in_blocks_equals_one_whole_batch_forward(noise_dim):
-    n = 2 * _DISCREPANCY_ROWS + 37   # two full blocks and a partial last one
+    n = 2 * _ROW_BLOCK + 37   # two full blocks and a partial last one
     src, tgt = tiny_domains(n, seed=6)
     bundle = build_bundle(GeneratorSpec(DIM, blocks=1, filters=4, noise_dim=noise_dim),
                           DiscriminatorSpec(DIM, base_filters=2),
@@ -270,7 +270,7 @@ def test_mean_discrepancy_in_blocks_equals_one_whole_batch_forward(noise_dim):
     for p in bundle.generator.parameters().values():   # off the identity start
         p.data[...] = rng.normal(size=p.shape)
     z = RandomSource(6, "discrepancy", 3).normal((n, noise_dim)) if noise_dim else None
-    with paused():
+    with Tape():   # a taped forward runs its conv layers over the whole batch at once
         fakes = bundle.generator.forward(src.windows, z).data
     whole = float(np.linalg.norm(fakes.mean(axis=0) - tgt.windows.mean(axis=0)))
     assert _mean_discrepancy(bundle, src, tgt, TrainerConfig(seed=6), 3) == whole
