@@ -541,7 +541,9 @@ def baselines_run(cfg: RunConfig) -> dict:
 
 
 def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted") -> dict:
-    """Score a checkpoint's classifier on the labeled target test split."""
+    """Score a checkpoint's classifier on the labeled target test split. Only a run's own
+    checkpoint.json is checked against the splits in its record.json and has its report
+    written; any other file (a diverged run's rescue) is checked by its shapes alone."""
     test = load_prepared(cfg, "target_test")["target_test"]
     if test.labels is None:
         raise PipelineError("target test split is unlabeled; nothing to score")
@@ -550,7 +552,9 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
     checkpoint_path = Path(checkpoint_path)
     if not checkpoint_path.exists():
         raise PipelineError(f"checkpoint not found: {checkpoint_path}")
-    trained_on = _trained_on(checkpoint_path.parent)
+    owns_run_dir = checkpoint_path.name == "checkpoint.json"
+    run_dir = checkpoint_path.parent
+    trained_on = _trained_on(run_dir) if owns_run_dir else None
     if trained_on is not None and trained_on != _splits_sha256(cfg):
         raise PipelineError(f"{checkpoint_path} was trained on other prepared splits than "
                             f"those under {cfg.prepared_dir}; train it again")
@@ -561,13 +565,16 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
     if classifier.spec.input_dim != test.dim:
         raise PipelineError(f"{checkpoint_path} takes {classifier.spec.input_dim}-dimensional "
                             f"windows, but the prepared splits have dimension {test.dim}")
+    if classifier.spec.num_classes != test.num_classes:
+        raise PipelineError(f"{checkpoint_path} predicts {classifier.spec.num_classes} classes, "
+                            f"but the prepared splits have {test.num_classes}")
     preds = classifier.predict(test.windows)
     rep = ev.report(ev.confusion(test.labels, preds, test.num_classes),
                     class_names=test.label_names)
-    run_dir = checkpoint_path.parent
-    (run_dir / "report.json").write_text(json.dumps(rep, sort_keys=True, indent=2) + "\n")
-    (run_dir / "report.txt").write_text(ev.render_report(rep))
-    refresh_comparison(cfg)
+    if owns_run_dir:
+        (run_dir / "report.json").write_text(json.dumps(rep, sort_keys=True, indent=2) + "\n")
+        (run_dir / "report.txt").write_text(ev.render_report(rep))
+        refresh_comparison(cfg)
     return rep
 
 

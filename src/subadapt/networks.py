@@ -25,6 +25,7 @@ from .tensor import ShapeError, Tensor
 
 KERNEL_SIZE = 3
 LEAKY_SLOPE = 0.2
+_ROW_BLOCK = 128   # rows per untaped conv block; its padded input and scratch stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,9 @@ def _through(layers, h: Tensor) -> Tensor:
     """`h` [batch, channels, length] through the conv `layers`, 128 rows at a time when no
     tape records: a row's output does not depend on its neighbours, so the bytes are the
     whole pass's. A taped pass stays whole, or backward would re-sum the kernel gradient."""
-    if T.Tape.current() is None and h.shape[0] > T._ROW_BLOCK:
-        return Tensor(np.concatenate([_through(layers, Tensor(h.data[lo:lo + T._ROW_BLOCK])).data
-                                      for lo in range(0, h.shape[0], T._ROW_BLOCK)]))
+    if T.Tape.current() is None and h.shape[0] > _ROW_BLOCK:
+        return Tensor(np.concatenate([_through(layers, Tensor(h.data[lo:lo + _ROW_BLOCK])).data
+                                      for lo in range(0, h.shape[0], _ROW_BLOCK)]))
     for layer in layers:
         h = layer(h)
     return h

@@ -387,9 +387,6 @@ def pick(a, indices) -> Tensor:
 # network layers
 
 
-_ROW_BLOCK = 128   # batch rows per forward block; its padded input and scratch stay cache-sized
-
-
 def _tap_product(tap, x, out):
     """tap [m, n] @ x [batch, n, length] into out. With n == 1 each element is one rounded
     product: np.multiply, plus 0.0 to give a -0.0 product matmul's +0.0 (its sum starts at
@@ -398,34 +395,6 @@ def _tap_product(tap, x, out):
         np.multiply(tap, x, out=out)
         return np.add(out, 0.0, out=out)
     return np.matmul(tap, x, out=out)
-
-
-def _conv1d_forward(xd, taps, b, pad_left, activation, slope):
-    """Cross-correlate [batch, in, length] input with per-tap matrices [k, out, in], then
-    bias and activation, 128 rows at a time. Each block is padded into one zeroed scratch;
-    tap j reads its view xb[:, :, j : j + length], so no im2col copy is built. A row's
-    output never depends on the other rows of its block."""
-    batch, n_in, length = xd.shape
-    kernel, n_out = taps.shape[:2]
-    out = np.empty((batch, n_out, length))
-    rows = min(batch, _ROW_BLOCK)
-    xp = np.zeros((rows, n_in, length + kernel - 1))
-    tmp = np.empty((rows, n_out, length))
-    for lo in range(0, batch, _ROW_BLOCK):
-        n = min(rows, batch - lo)
-        xb, ob = xp[:n], out[lo:lo + n]
-        xb[:, :, pad_left:pad_left + length] = xd[lo:lo + n]
-        _tap_product(taps[0], xb[:, :, :length], ob)
-        for j in range(1, kernel):
-            ob += _tap_product(taps[j], xb[:, :, j:j + length], tmp[:n])
-        ob += b[:, None]
-        # in place, and equal to relu()/leaky_relu(): for a slope in [0, 1], max(z, slope*z)
-        # is z where z > 0 and slope*z elsewhere, NaN included
-        if activation == "relu":
-            np.maximum(ob, 0.0, out=ob)
-        elif activation == "leaky_relu":
-            np.maximum(ob, slope * ob, out=ob)
-    return out
 
 
 def conv1d(x, kernels, bias, activation: str = "linear", slope: float = 0.2) -> Tensor:
@@ -439,8 +408,10 @@ def conv1d(x, kernels, bias, activation: str = "linear", slope: float = 0.2) -> 
     is "linear", "relu" or "leaky_relu" (negative slope `slope`, in
     [0, 1]); the result equals conv1d followed by relu()/leaky_relu() bit
     for bit, recorded as one tape op. Forward, input gradient and kernel
-    gradient are each one GEMM per kernel tap, the forward's per block of
-    128 batch rows.
+    gradient are each one GEMM per kernel tap over the whole batch: the
+    input is padded once into a zeroed buffer and tap j reads its view
+    [:, :, j : j + length], so no im2col copy is built. A row's output
+    never depends on the other rows of the batch.
     """
     x, kernels, bias = as_tensor(x), as_tensor(kernels), as_tensor(bias)
     xd = x.data
@@ -461,7 +432,19 @@ def conv1d(x, kernels, bias, activation: str = "linear", slope: float = 0.2) -> 
     pl = (kernel - 1) // 2
 
     taps = np.ascontiguousarray(kernels.data.transpose(2, 0, 1))
-    out_data = _conv1d_forward(xd, taps, bias.data, pl, activation, slope)
+    xp = np.zeros(xd.shape[:2] + (length + kernel - 1,))
+    xp[:, :, pl:pl + length] = xd
+    out_data = _tap_product(taps[0], xp[:, :, :length], np.empty((xd.shape[0], n_out, length)))
+    tmp = np.empty(out_data.shape)
+    for j in range(1, kernel):
+        out_data += _tap_product(taps[j], xp[:, :, j:j + length], tmp)
+    out_data += bias.data[:, None]
+    # in place, and equal to relu()/leaky_relu(): for a slope in [0, 1], max(z, slope*z)
+    # is z where z > 0 and slope*z elsewhere, NaN included
+    if activation == "relu":
+        np.maximum(out_data, 0.0, out=out_data)
+    elif activation == "leaky_relu":
+        np.maximum(out_data, slope * out_data, out=out_data)
     out = Tensor(out_data)
 
     def grad(g, needs):

@@ -224,7 +224,7 @@ def _mean_discrepancy(bundle: ModelBundle, source: DomainDataset, target: Domain
     """Distance between the generated-sample mean and the target-sample mean."""
     nd = bundle.generator.spec.noise_dim
     z = RandomSource(cfg.seed, "discrepancy", epoch).normal((len(source), nd)) if nd > 0 else None
-    with paused():   # the generator runs its conv layers in row blocks
+    with paused():   # untaped, the generator runs its conv layers in networks' row blocks
         fakes = bundle.generator.forward(source.windows, z).data
     return float(np.linalg.norm(fakes.mean(axis=0) - target.windows.mean(axis=0)))
 

@@ -137,6 +137,14 @@ def test_synth_writes_corpus(workspace, tmp_path, capsys):
 def test_divergence_exit_code_and_rescue_file(workspace, capsys):
     config_path, out_dir = workspace
     assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    # 20 epochs score above the rescue's parameters, so a rescue report written over the
+    # adapted one would change its bytes
+    assert main(["train", "--config", str(config_path), "--set", "trainer.epochs=20"]) == EXIT_OK
+    assert main(["baselines", "--config", str(config_path)]) == EXIT_OK
+    for run in ("adapted", "no_transfer"):
+        assert main(["evaluate", "--config", str(config_path), "--run", run]) == EXIT_OK
+    scored = [out_dir / "adapted" / "report.json", out_dir / "comparison.csv"]
+    before = [path.read_bytes() for path in scored]
     capsys.readouterr()
     overrides = ["trainer.lr_generator=1e80", "trainer.lr_discriminator=1e80",
                  "trainer.lr_classifier=1e80"]
@@ -157,6 +165,12 @@ def test_divergence_exit_code_and_rescue_file(workspace, capsys):
              for name, p in net.parameters().items()}
     assert saved.keys() == snapshot.keys()
     assert all(saved[name].tobytes() == snapshot[name].tobytes() for name in snapshot)
+    # the rescue is scored and printed, but the report and comparison of the run that
+    # trained before it stay that run's
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(rescue)]) == EXIT_OK
+    assert "weighted F1" in capsys.readouterr().out
+    assert [path.read_bytes() for path in scored] == before
 
 
 def test_report_with_nothing_to_show(workspace, capsys):
@@ -211,6 +225,28 @@ def test_evaluate_after_prepare_with_other_pca_dim_is_a_data_error(workspace, ca
     lone.write_bytes((out_dir / "adapted" / "checkpoint.json").read_bytes())
     assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(lone)]) == EXIT_DATA
     assert "dimension 5" in _one_data_error(capsys)
+
+
+@pytest.mark.parametrize("trained,prepared", [(3, 2), (2, 3)],
+                         ids=["more-classes", "fewer-classes"])
+def test_checkpoint_with_other_class_count_is_a_data_error(workspace, capsys, trained, prepared):
+    config_path, out_dir = workspace
+
+    def classes(n):
+        return ["--set", f"data.synthetic.num_classes={n}",
+                "--set", f"data.synthetic.class_counts={[12] * n}"]
+
+    assert main(["prepare", "--config", str(config_path), *classes(trained)]) == EXIT_OK
+    assert main(["baselines", "--config", str(config_path)]) == EXIT_OK
+    # without a record beside it, only the checkpoint's shapes tell what it was trained on
+    lone = out_dir / "elsewhere" / "checkpoint.json"
+    lone.parent.mkdir()
+    lone.write_bytes((out_dir / "supervised" / "checkpoint.json").read_bytes())
+    assert main(["prepare", "--config", str(config_path), *classes(prepared)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(lone)]) == EXIT_DATA
+    assert f"predicts {trained} classes, but the prepared splits have {prepared}" in \
+        _one_data_error(capsys)
 
 
 def test_evaluate_after_prepare_with_other_seed_is_a_data_error(workspace, capsys):

@@ -9,10 +9,10 @@ import pytest
 
 from subadapt.checkpoint import load_checkpoint, save_bundle, save_checkpoint
 from subadapt.harness import NetworkConfig
-from subadapt.networks import (Classifier, ClassifierSpec, ConvLayer, Discriminator,
+from subadapt.networks import (_ROW_BLOCK, Classifier, ClassifierSpec, ConvLayer, Discriminator,
                                DiscriminatorSpec, Generator, GeneratorSpec, build_bundle)
 from subadapt.pipeline import PipelineError
-from subadapt.tensor import _ROW_BLOCK, ShapeError, Tape, Tensor, paused
+from subadapt.tensor import ShapeError, Tape, Tensor, paused
 
 from conftest import parameter_count
 

@@ -347,6 +347,7 @@ def test_conv1d_matches_loop_reference(stride, padding, width, several_rows):
 
 @pytest.mark.parametrize("in_channels", [1, 2])
 def test_conv1d_matches_loop_reference_past_one_row_block(in_channels):
+    # a batch larger than one of the 128-row blocks that networks._through runs untaped
     _conv_against_reference((2 * 128 + 5, in_channels, 11), 3, 1, "same", seed=41)
 
 
@@ -453,7 +454,8 @@ def test_fused_leaky_gradient_is_bit_equal_to_the_where_form_on_special_values(s
 @pytest.mark.parametrize("batch", [1, 127, 128, 129, 2 * 128 + 5])
 @pytest.mark.parametrize("activation", ["linear", "relu", "leaky_relu"])
 def test_conv1d_batch_is_bit_equal_to_row_by_row_calls(activation, batch, in_channels):
-    # the forward runs in blocks of 128 rows: no row may see its block's other rows
+    # networks._through splits untaped forwards into 128-row blocks: that relies on no row
+    # seeing the batch's other rows
     rng = np.random.default_rng(batch)
     x = rng.normal(size=(batch, in_channels, 9))
     k = Tensor(rng.normal(size=(4, in_channels, 3)))
@@ -516,7 +518,7 @@ _PINNED_CLASSIFIER_PROBABILITIES = {
 
 
 def test_classifier_forward_bytes_are_pinned():
-    # 300 rows: two full 128-row blocks and a partial one in every conv layer
+    # 300 rows: two full 128-row blocks of networks._through and a partial one in every conv layer
     rng = np.random.default_rng(41)
     classifier = Classifier(ClassifierSpec(input_dim=50, num_classes=4, seed=7))
     with paused():

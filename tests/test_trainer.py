@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from subadapt.networks import (Classifier, ClassifierSpec, DiscriminatorSpec, GeneratorSpec,
-                               build_bundle)
+from subadapt.networks import (_ROW_BLOCK, Classifier, ClassifierSpec, DiscriminatorSpec,
+                               GeneratorSpec, build_bundle)
 from subadapt.pipeline import DomainDataset, SynthSpec, generate_synthetic_pair
 from subadapt.rng import RandomSource
 from subadapt.sampler import EpochPlan, TrainingBatch
-from subadapt.tensor import _ROW_BLOCK, Tape, backward
+from subadapt.tensor import Tape, backward
 from subadapt.trainer import (DivergedError, TrainerConfig, _mean_discrepancy,
                               _plateaued, classifier_loss, discriminator_loss, generator_loss,
                               make_state, optimal_discriminator_value, train, train_classifier,
