@@ -88,7 +88,7 @@ def _cmd_evaluate(cfg, args) -> int:
     print(render_report(rep), end="")
     print(f"weighted F1: {rep['weighted_f1']:.4f}")
     comparison = cfg.output_dir / "comparison.csv"
-    if comparison.exists():
+    if harness.writes_report(args.checkpoint) and comparison.exists():
         print(f"comparison table: {comparison}")
     return EXIT_OK
 

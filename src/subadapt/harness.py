@@ -83,11 +83,11 @@ class PreprocessingConfig:
 
 @dataclass
 class NetworkConfig:
-    blocks: int = 2
-    generator_filters: int = 32
-    classifier_filters: int = 16
-    discriminator_filters: int = 8
-    noise_dim: int = 16
+    blocks: int = GeneratorSpec.blocks
+    generator_filters: int = GeneratorSpec.filters
+    classifier_filters: int = ClassifierSpec.base_filters
+    discriminator_filters: int = DiscriminatorSpec.base_filters
+    noise_dim: int = GeneratorSpec.noise_dim
 
     def __post_init__(self):
         self.specs(input_dim=1, num_classes=2, seed=0)   # the specs' own range checks
@@ -540,6 +540,12 @@ def baselines_run(cfg: RunConfig) -> dict:
     return results
 
 
+def writes_report(checkpoint_path) -> bool:
+    """Whether `evaluate_run` writes a report for this checkpoint: only for a run's own
+    checkpoint.json (the default), never for any other file."""
+    return checkpoint_path is None or Path(checkpoint_path).name == "checkpoint.json"
+
+
 def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted") -> dict:
     """Score a checkpoint's classifier on the labeled target test split. Only a run's own
     checkpoint.json is checked against the splits in its record.json and has its report
@@ -547,12 +553,12 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
     test = load_prepared(cfg, "target_test")["target_test"]
     if test.labels is None:
         raise PipelineError("target test split is unlabeled; nothing to score")
+    owns_run_dir = writes_report(checkpoint_path)
     if checkpoint_path is None:
         checkpoint_path = cfg.run_dir(run_name) / "checkpoint.json"
     checkpoint_path = Path(checkpoint_path)
     if not checkpoint_path.exists():
         raise PipelineError(f"checkpoint not found: {checkpoint_path}")
-    owns_run_dir = checkpoint_path.name == "checkpoint.json"
     run_dir = checkpoint_path.parent
     trained_on = _trained_on(run_dir) if owns_run_dir else None
     if trained_on is not None and trained_on != _splits_sha256(cfg):

@@ -10,7 +10,9 @@ padding; there is no pooling, batch norm, dropout or skip connection
 anywhere. Hidden activations are relu (leaky relu 0.2 inside the
 discriminator); the discriminator head is tanh, the classifier head is
 softmax, the generator output is linear. Every forward takes a batch of
-windows, [batch, input_dim]; a single window is a batch of one.
+windows, [batch, input_dim]; a single window is a batch of one. The
+generator's input (window and tiled noise) is built as data, not taped,
+since no loss differentiates it.
 """
 from __future__ import annotations
 
@@ -99,8 +101,6 @@ def _weight_limit(fan_in: int, fan_out: int, activation: str) -> float:
 
 
 def _activate(t: Tensor, kind: str) -> Tensor:
-    if kind == "linear":
-        return t
     if kind == "tanh":
         return T.tanh(t)
     if kind == "softmax":
@@ -240,19 +240,22 @@ class Generator(_Network):
         out[0, 1, 1] = -1.0
 
     def forward(self, x, z=None) -> Tensor:
-        """[batch, input_dim] windows and [batch, noise_dim] noise to [batch, input_dim]."""
+        """[batch, input_dim] windows and [batch, noise_dim] noise to [batch, input_dim].
+
+        `x` and `z` are data: only the weights are trained, so no gradient reaches them,
+        and the input [batch, channels, input_dim] is built as a plain array, the window
+        in channel 0 and the noise tiled cyclically along the window in channel 1."""
         xb = _batch(x, self.spec.input_dim, "generator input")
         n, d = xb.shape
-        h = T.reshape(xb, (n, 1, d))
+        h = xb.data[:, None, :]
         if self.spec.noise_dim > 0:
             if z is None:
                 raise ShapeError("generator requires a noise vector (noise_dim > 0)")
             zb = _batch(z, self.spec.noise_dim, "generator noise")
             if zb.shape[0] != n:
                 raise ShapeError(f"noise batch {zb.shape[0]} does not match input batch {n}")
-            noise_channel = T.repeat_to_length(T.reshape(zb, (n, 1, self.spec.noise_dim)), d)
-            h = T.concat([h, noise_channel], axis=1)
-        return T.reshape(_through((*self.layers, self.output_layer), h), (n, d))
+            h = np.stack([xb.data, zb.data[:, np.arange(d) % self.spec.noise_dim]], axis=1)
+        return T.reshape(_through((*self.layers, self.output_layer), Tensor(h)), (n, d))
 
 
 class _ConvStack(_Network):

@@ -9,7 +9,7 @@ no other dtype is ever created.
 The op set is intentionally closed: exactly what the three networks and
 their training losses need (1-D convolution, dense layers, the activations,
 elementwise arithmetic, reductions, a clamped log, and the bookkeeping ops
-reshape/concat/pick).
+reshape/pick).
 """
 from __future__ import annotations
 
@@ -150,12 +150,7 @@ def backward(tape: Tape, loss: Tensor) -> dict:
         for tens in (*op.inputs, op.output):
             if tens.requires_grad and tens not in result:
                 grad = flowing.get(id(tens))
-                if grad is None:
-                    grad = np.zeros_like(tens.data)
-                else:
-                    grad = np.broadcast_to(grad, tens.data.shape).astype(np.float64, copy=True) \
-                        if grad.shape != tens.data.shape else grad
-                result[tens] = grad
+                result[tens] = np.zeros_like(tens.data) if grad is None else grad
     return result
 
 
@@ -325,38 +320,6 @@ def reshape(a, shape) -> Tensor:
         return (g.reshape(orig),)
 
     _record("reshape", out, (a,), grad)
-    return out
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(as_tensor(t) for t in tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    cuts = np.cumsum(sizes)[:-1]
-
-    def grad(g, needs):
-        pieces = np.split(g, cuts, axis=axis)
-        return tuple(p if need else None for p, need in zip(pieces, needs))
-
-    _record("concat", out, tensors, grad)
-    return out
-
-
-def repeat_to_length(a, length: int) -> Tensor:
-    """Tile the last axis cyclically out to `length` (noise channel broadcast)."""
-    a = as_tensor(a)
-    n = a.data.shape[-1]
-    if n <= 0:
-        raise ShapeError("repeat_to_length needs a non-empty last axis")
-    idx = np.arange(length) % n
-    out = Tensor(a.data[..., idx])
-
-    def grad(g, needs):
-        d = np.zeros_like(a.data)
-        np.add.at(d, (..., idx), g)
-        return (d,)
-
-    _record("repeat_to_length", out, (a,), grad)
     return out
 
 

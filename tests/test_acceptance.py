@@ -147,8 +147,6 @@ def test_a1_gradients():
     fd(lambda: T.mean_all(T.square(T.tanh(a))), a)
     fd(lambda: T.mean_all(T.square(T.softmax(logits))), logits)
     fd(lambda: T.mean_all(T.square(T.reshape(a, (4, 3)))), a)
-    fd(lambda: T.mean_all(T.square(T.concat([a, b], axis=0))), a, b)
-    fd(lambda: T.mean_all(T.square(T.repeat_to_length(a, 7))), a)
     fd(lambda: T.mean_all(T.square(T.pick(T.softmax(logits), labels))), logits)
 
     x = signed((2, 2, 8))

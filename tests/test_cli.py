@@ -169,7 +169,8 @@ def test_divergence_exit_code_and_rescue_file(workspace, capsys):
     # trained before it stay that run's
     capsys.readouterr()
     assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(rescue)]) == EXIT_OK
-    assert "weighted F1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "weighted F1" in out and "comparison table:" not in out
     assert [path.read_bytes() for path in scored] == before
 
 

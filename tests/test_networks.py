@@ -158,8 +158,7 @@ def test_paused_forwards_in_row_blocks_equal_one_taped_whole_batch_forward(rows)
 def test_taped_forward_past_one_block_records_the_whole_batch_ops():
     bundle = build_bundle(*small_specs())
     expected = {
-        "generator": ["reshape", "reshape", "repeat_to_length", "concat",
-                      "conv1d", "conv1d", "conv1d", "reshape"],
+        "generator": ["conv1d", "conv1d", "conv1d", "reshape"],
         "discriminator": ["reshape", "conv1d", "conv1d", "conv1d", "conv1d", "conv1d",
                           "reshape", "dense", "tanh", "reshape"],
         "classifier": ["reshape", "conv1d", "conv1d", "conv1d", "reshape", "dense", "softmax"],
@@ -169,6 +168,28 @@ def test_taped_forward_past_one_block_records_the_whole_batch_ops():
             forward()
         assert [op.name for op in tape.ops] == expected[kind], kind
         assert all(op.output.shape[0] == 200 for op in tape.ops), kind
+
+
+@pytest.mark.parametrize("noise_dim", [0, 3])
+def test_generator_input_is_data_and_row_blocks_keep_its_bytes(noise_dim):
+    gen = Generator(GeneratorSpec(10, blocks=1, filters=4, noise_dim=noise_dim))
+    rng = np.random.default_rng(noise_dim)
+    for p in gen.parameters().values():   # off the identity start
+        p.data[...] = rng.normal(size=p.shape)
+    rows = 2 * _ROW_BLOCK + 5
+    x = rng.normal(size=(rows, 10))
+    z = rng.normal(size=(rows, noise_dim)) if noise_dim else None
+    # channel 0 is the window; the noise is tiled cyclically along it in channel 1
+    expected = x[:, None, :] if z is None else \
+        np.concatenate([x[:, None, :], np.tile(z, 4)[:, None, :10]], axis=1)
+    with Tape() as tape:
+        whole = gen.forward(x, z).data
+    assert [op.name for op in tape.ops] == ["conv1d", "conv1d", "conv1d", "reshape"]
+    assert np.array_equal(tape.ops[0].inputs[0].data, expected)
+    with paused():
+        blocked = gen.forward(x, z).data
+    assert blocked.shape == whole.shape == (rows, 10)
+    assert blocked.tobytes() == whole.tobytes()
 
 
 def test_predict_on_no_windows_is_an_empty_int64_array():
@@ -422,6 +443,11 @@ INITIAL_BUNDLE_SHA256 = "9b86adf613b08f5753bf23c0cb0ee6ac194a9d12bf33b89eb5ae436
 
 def default_bundle():
     return build_bundle(*NetworkConfig().specs(50, 4, seed=7))
+
+
+def test_network_config_defaults_are_the_specs_own():
+    assert NetworkConfig().specs(50, 4, seed=7) == (
+        GeneratorSpec(50, seed=7), DiscriminatorSpec(50, seed=7), ClassifierSpec(50, 4, seed=7))
 
 
 def test_parameter_names_are_pinned():

@@ -82,16 +82,9 @@ def test_log_clamped_floors_small_values():
     assert out.data[2] == math.log(0.5)
 
 
-def test_reshape_and_concat_forward():
+def test_reshape_forward():
     x = Tensor(np.arange(6.0))
     assert T.reshape(x, (2, 3)).shape == (2, 3)
-    a, b = Tensor([[1.0], [2.0]]), Tensor([[3.0], [4.0]])
-    assert np.array_equal(T.concat([a, b], axis=1).data, [[1.0, 3.0], [2.0, 4.0]])
-
-
-def test_repeat_to_length_tiles_cyclically():
-    out = T.repeat_to_length(Tensor([1.0, 2.0, 3.0]), 7)
-    assert np.array_equal(out.data, [1, 2, 3, 1, 2, 3, 1])
 
 
 def test_pick_gathers_one_entry_per_row():
@@ -240,24 +233,8 @@ def test_bookkeeping_gradients():
     w = Tensor(rng.normal(size=(2, 3)))
     fd_check(lambda: T.mean_all(T.mul(T.reshape(a, (2, 3)), w)), a)
 
-    b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-    c = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    fd_check(lambda: T.mean_all(T.square(T.concat([b, c], axis=1))), b, c)
-
-    d = Tensor(rng.normal(size=4), requires_grad=True)
-    scale = Tensor(rng.normal(size=11))
-    fd_check(lambda: T.mean_all(T.mul(T.repeat_to_length(d, 11), scale)), d)
-
     e = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     fd_check(lambda: T.mean_all(T.square(T.pick(e, [0, 2, 1, 1, 0]))), e)
-
-
-def test_repeat_to_length_gradient_accumulates_tile_counts():
-    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    with Tape() as tape:
-        loss = T.mean_all(T.repeat_to_length(x, 7))
-    grads = backward(tape, loss)
-    assert np.array_equal(grads[x], np.array([3.0, 2.0, 2.0]) / 7)
 
 
 def layer_columns(length, width, stride, padding):
