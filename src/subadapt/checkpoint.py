@@ -1,4 +1,4 @@
-"""Bit-exact JSON checkpoints: architecture descriptor + flat parameter arrays.
+"""Bit-exact JSON checkpoints: each network's spec + flat parameter arrays.
 
 Values are written as Python floats, whose repr-based JSON encoding
 round-trips float64 exactly, so save followed by load reproduces every

@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 stdout closed before the output was written (as
 `| head -1` does; no message), 2 config error (an unreadable config file too),
 3 data error (an input or stored file missing, damaged, short of a key or
 mismatched, or a path the file system refuses), 4 training divergence; each
-error is one line. `evaluate` and `report` compare only the runs trained on the
-current splits, and `report` prints only their reports.
+error is one line. `evaluate --run` scores a run's own checkpoint and writes its
+report, once the run's record names the current splits; `evaluate --checkpoint`
+scores any checkpoint file and only prints. `evaluate` and `report` compare only
+the runs whose records name the current splits, and `report` prints only their
+reports.
 """
 from __future__ import annotations
 
@@ -44,9 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     command("baselines", "train the no-transfer and supervised reference classifiers")
     p = command("evaluate", "score a checkpoint on the labeled target test split")
     p.add_argument("--checkpoint", default=None,
-                   help="checkpoint to score (default: <output_dir>/adapted/checkpoint.json)")
+                   help="any checkpoint file to score; its report is printed, not written")
     p.add_argument("--run", default="adapted", choices=list(harness.RUN_NAMES),
-                   help="which standard run directory to score when --checkpoint is not given")
+                   help="the run whose checkpoint to score and whose report to write when "
+                        "--checkpoint is not given")
     p = command("synth", "emit the synthetic corpus as a frame-per-row CSV")
     p.add_argument("--out", required=True, help="destination CSV path")
     command("report", "print the reports of runs on the current splits and rebuild the "
@@ -88,7 +92,7 @@ def _cmd_evaluate(cfg, args) -> int:
     print(render_report(rep), end="")
     print(f"weighted F1: {rep['weighted_f1']:.4f}")
     comparison = cfg.output_dir / "comparison.csv"
-    if harness.writes_report(args.checkpoint) and comparison.exists():
+    if args.checkpoint is None and comparison.exists():
         print(f"comparison table: {comparison}")
     return EXIT_OK
 
@@ -106,7 +110,7 @@ def _cmd_report(cfg, args) -> int:
         print(f"== {name} ==")
         print((cfg.run_dir(name) / "report.txt").read_text())
     if stale:
-        print(f"left out, trained on other splits than the current ones: {', '.join(stale)}")
+        print(f"left out, no record of training on the current splits: {', '.join(stale)}")
     if comparison is not None:
         print((cfg.output_dir / "comparison.csv").read_text(), end="")
         if comparison.sandwich is not None:

@@ -8,12 +8,16 @@ config["output_dir"]:
     adapted/         checkpoint.json, losses.csv, record.json (+ report.*)
     no_transfer/     checkpoint.json, record.json (+ report.*)
     supervised/      checkpoint.json, record.json (+ report.*)
-    comparison.csv   once at least two runs trained on the current splits have reports
+    comparison.csv   once at least two runs whose records name the current splits
+                     have reports
 
 Reruns with the same config and seed are byte-identical for datasets,
 checkpoints and loss CSVs (records carry wall-clock durations and differ).
 Each run record keeps the splits' sha256 it was trained on, and `evaluate`
-refuses a run whose splits were prepared anew since.
+refuses a run whose record is gone or whose splits were prepared anew since.
+Only a run's own checkpoint has its report written; a checkpoint given by
+path, whatever its name or place, is checked by its shapes alone, and nothing
+is written.
 """
 from __future__ import annotations
 
@@ -442,15 +446,16 @@ def load_prepared(cfg: RunConfig, *names: str) -> dict:
     return {name: DomainDataset.load(out / name) for name in names or SPLIT_NAMES}
 
 
-def _splits_sha256(cfg: RunConfig) -> str | None:
+def _splits_sha256(cfg: RunConfig) -> str:
     """The splits' sha256 that prepare.json recorded."""
-    return read_json(cfg.prepared_dir / "prepare.json").get("splits_sha256")
+    return read_json(cfg.prepared_dir / "prepare.json", "splits_sha256")["splits_sha256"]
 
 
-def _trained_on(run_dir: Path) -> str | None:
-    """The splits' sha256 that the run's record.json names; None without a record."""
-    record = run_dir / "record.json"
-    return read_json(record).get("splits_sha256") if record.exists() else None
+def _on_current_splits(cfg: RunConfig, name: str) -> bool:
+    """Whether run `name`'s record.json names the splits prepare.json holds now; a run
+    without a record is not known to be trained on them."""
+    record = cfg.run_dir(name) / "record.json"
+    return record.exists() and read_json(record).get("splits_sha256") == _splits_sha256(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -540,44 +545,37 @@ def baselines_run(cfg: RunConfig) -> dict:
     return results
 
 
-def writes_report(checkpoint_path) -> bool:
-    """Whether `evaluate_run` writes a report for this checkpoint: only for a run's own
-    checkpoint.json (the default), never for any other file."""
-    return checkpoint_path is None or Path(checkpoint_path).name == "checkpoint.json"
-
-
 def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted") -> dict:
-    """Score a checkpoint's classifier on the labeled target test split. Only a run's own
-    checkpoint.json is checked against the splits in its record.json and has its report
-    written; any other file (a diverged run's rescue) is checked by its shapes alone."""
+    """Score a checkpoint's classifier on the labeled target test split.
+
+    With no `checkpoint_path`, run `run_name`'s own checkpoint.json is scored once its
+    record.json names the current splits, and its report and the comparison are written.
+    A given file (a diverged run's rescue, a copy) is checked by its shapes alone and its
+    report is only returned."""
     test = load_prepared(cfg, "target_test")["target_test"]
     if test.labels is None:
         raise PipelineError("target test split is unlabeled; nothing to score")
-    owns_run_dir = writes_report(checkpoint_path)
-    if checkpoint_path is None:
-        checkpoint_path = cfg.run_dir(run_name) / "checkpoint.json"
-    checkpoint_path = Path(checkpoint_path)
-    if not checkpoint_path.exists():
-        raise PipelineError(f"checkpoint not found: {checkpoint_path}")
-    run_dir = checkpoint_path.parent
-    trained_on = _trained_on(run_dir) if owns_run_dir else None
-    if trained_on is not None and trained_on != _splits_sha256(cfg):
-        raise PipelineError(f"{checkpoint_path} was trained on other prepared splits than "
-                            f"those under {cfg.prepared_dir}; train it again")
-    models, _ = load_checkpoint(checkpoint_path)
+    run_dir = cfg.run_dir(run_name)
+    path = run_dir / "checkpoint.json" if checkpoint_path is None else Path(checkpoint_path)
+    if not path.exists():
+        raise PipelineError(f"checkpoint not found: {path}")
+    if checkpoint_path is None and not _on_current_splits(cfg, run_name):
+        raise PipelineError(f"{path} was trained on other prepared splits than those under "
+                            f"{cfg.prepared_dir}, or has no record.json; train it again")
+    models, _ = load_checkpoint(path)
     if "classifier" not in models:
-        raise PipelineError(f"{checkpoint_path} holds no classifier")
+        raise PipelineError(f"{path} holds no classifier")
     classifier = models["classifier"]
     if classifier.spec.input_dim != test.dim:
-        raise PipelineError(f"{checkpoint_path} takes {classifier.spec.input_dim}-dimensional "
+        raise PipelineError(f"{path} takes {classifier.spec.input_dim}-dimensional "
                             f"windows, but the prepared splits have dimension {test.dim}")
     if classifier.spec.num_classes != test.num_classes:
-        raise PipelineError(f"{checkpoint_path} predicts {classifier.spec.num_classes} classes, "
+        raise PipelineError(f"{path} predicts {classifier.spec.num_classes} classes, "
                             f"but the prepared splits have {test.num_classes}")
     preds = classifier.predict(test.windows)
     rep = ev.report(ev.confusion(test.labels, preds, test.num_classes),
                     class_names=test.label_names)
-    if owns_run_dir:
+    if checkpoint_path is None:
         (run_dir / "report.json").write_text(json.dumps(rep, sort_keys=True, indent=2) + "\n")
         (run_dir / "report.txt").write_text(ev.render_report(rep))
         refresh_comparison(cfg)
@@ -585,12 +583,9 @@ def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted"
 
 
 def scored_runs(cfg: RunConfig) -> tuple[list, list]:
-    """The runs with a report: those trained on the current splits, and the stale rest."""
+    """The runs with a report: those whose record names the current splits, and the rest."""
     scored = [name for name in RUN_NAMES if (cfg.run_dir(name) / "report.json").exists()]
-    if not scored:   # `report` may run before `prepare`; with no report, no prepare.json
-        return [], []
-    current = _splits_sha256(cfg)
-    fresh = [name for name in scored if _trained_on(cfg.run_dir(name)) in (None, current)]
+    fresh = [name for name in scored if _on_current_splits(cfg, name)]
     return fresh, [name for name in scored if name not in fresh]
 
 

@@ -17,7 +17,7 @@ since no loss differentiates it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,8 +112,6 @@ class ConvLayer:
     def __init__(self, name: str, in_channels: int, out_channels: int,
                  activation: str, rng: RandomSource):
         self.name = name
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.activation = activation
         fan_in = in_channels * KERNEL_SIZE
         fan_out = out_channels * KERNEL_SIZE
@@ -128,18 +126,12 @@ class ConvLayer:
     def params(self) -> dict:
         return {"kernels": self.kernels, "bias": self.bias}
 
-    def descriptor(self) -> dict:
-        return {"type": "conv1d", "name": self.name, "in_channels": self.in_channels,
-                "filters": self.out_channels, "kernel_size": KERNEL_SIZE, "stride": 1,
-                "padding": "same", "activation": self.activation}
-
 
 class DenseLayer:
     def __init__(self, name: str, in_features: int, units: int,
                  activation: str, rng: RandomSource):
         self.name = name
         self.in_features = in_features
-        self.units = units
         self.activation = activation
         limit = _weight_limit(in_features, units, activation)
         self.weights = Tensor(_init_uniform(rng, (units, in_features), limit), requires_grad=True)
@@ -150,10 +142,6 @@ class DenseLayer:
 
     def params(self) -> dict:
         return {"weights": self.weights, "bias": self.bias}
-
-    def descriptor(self) -> dict:
-        return {"type": "dense", "name": self.name, "in_features": self.in_features,
-                "units": self.units, "activation": self.activation}
 
 
 def _batch(value, dim: int, what: str) -> Tensor:
@@ -187,12 +175,6 @@ class _Network:
         return OrderedDict((f"{layer.name}.{pname}", p)
                            for layer in (*self.layers, self.output_layer)
                            for pname, p in layer.params().items())
-
-    def architecture(self) -> dict:
-        return {"kind": self.kind,
-                **{f.name: getattr(self.spec, f.name) for f in fields(self.spec)
-                   if f.name != "seed"},
-                "layers": [l.descriptor() for l in (*self.layers, self.output_layer)]}
 
 
 class Generator(_Network):

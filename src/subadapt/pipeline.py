@@ -128,6 +128,9 @@ def load_recordings(path, schema: CsvSchema, sample_rate: float) -> list:
             except StopIteration:
                 raise PipelineError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
+            repeated = [h for i, h in enumerate(header) if h in header[:i]]
+            if repeated:
+                raise PipelineError(f"{path}: header names column {repeated[0]!r} more than once")
             for col in (schema.subject_column, schema.label_column):
                 if col not in header:
                     raise PipelineError(f"{path}: missing required column {col!r}")

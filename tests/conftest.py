@@ -1,5 +1,6 @@
 """Shared helpers: finite-difference oracles, tolerance rules, and the parameter
-count, PCA reference fit and PCA reconstruction that only the tests need.
+count, layer table, PCA reference fit and PCA reconstruction that only the tests
+need.
 
 Gradient comparisons accept a point when the relative error is below 1e-4,
 with an absolute floor of 1e-6 so that near-zero gradients are not judged
@@ -7,6 +8,7 @@ by a meaningless ratio (central differences carry ~1e-10 of roundoff).
 """
 import numpy as np
 
+from subadapt.networks import ConvLayer
 from subadapt.pipeline import PcaModel
 
 REL_TOL = 1e-4
@@ -49,6 +51,24 @@ def max_gradient_error(numeric, analytic, rel=REL_TOL, floor=ABS_FLOOR):
 
 def parameter_count(net) -> int:
     return int(sum(p.data.size for p in net.parameters().values()))
+
+
+def layer_table(net) -> list:
+    """Each layer of `net`, hidden layers then the output layer, as the layer object gives
+    it: filters, in-channels and kernel width from a conv layer's kernels, units and
+    in-features from a dense layer's weights."""
+    table = []
+    for layer in (*net.layers, net.output_layer):
+        if isinstance(layer, ConvLayer):
+            filters, channels, width = layer.kernels.shape
+            table.append({"type": "conv1d", "name": layer.name, "in_channels": channels,
+                          "filters": filters, "kernel_size": width,
+                          "activation": layer.activation})
+        else:
+            units, features = layer.weights.shape
+            table.append({"type": "dense", "name": layer.name, "in_features": features,
+                          "units": units, "activation": layer.activation})
+    return table
 
 
 def pca_inverse(model, reduced):

@@ -279,9 +279,11 @@ def test_evaluate_after_prepare_with_other_seed_is_a_data_error(workspace, capsy
     ("no_transfer/report.json", None, ["evaluate", "--run", "adapted"]),
     ("no_transfer/report.json", b"{}\n", ["report"]),
     ("prepared/target_test/meta.json", b"{}\n", ["evaluate"]),
+    ("prepared/prepare.json", b"{}\n", ["train"]),
 ], ids=["adapted/record.json", "prepared/prepare.json", "record-not-an-object",
         "prepare-not-an-object", "meta.json", "windows.npy-data-cut", "labels.npy-header-cut",
-        "report.json-report", "report.json-evaluate", "report.json-no-keys", "meta.json-no-keys"])
+        "report.json-report", "report.json-evaluate", "report.json-no-keys", "meta.json-no-keys",
+        "prepare.json-no-keys"])
 def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, damaged,
                                                             content, command):
     config_path, out_dir = workspace
@@ -321,6 +323,45 @@ def test_comparison_leaves_out_runs_trained_on_other_splits(workspace, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _scored_runs(config_path):
+    """Every run trained and scored on the workspace's splits, so comparison.csv exists."""
+    for command in (["prepare"], ["train"], ["baselines"],
+                    *(["evaluate", "--run", run] for run in RUN_NAMES)):
+        assert main([*command, "--config", str(config_path)]) == EXIT_OK
+
+
+def test_a_checkpoint_scored_by_path_writes_nothing_whatever_its_name(workspace, tmp_path,
+                                                                      capsys):
+    config_path, out_dir = workspace
+    _scored_runs(config_path)
+    comparison = (out_dir / "comparison.csv").read_bytes()
+    # a copy named like a run's own checkpoint, outside the output directory
+    lone = tmp_path / "lone" / "checkpoint.json"
+    lone.parent.mkdir()
+    lone.write_bytes((out_dir / "adapted" / "checkpoint.json").read_bytes())
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(lone)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "weighted F1" in out and "comparison table:" not in out
+    assert [p.name for p in lone.parent.iterdir()] == ["checkpoint.json"]
+    assert (out_dir / "comparison.csv").read_bytes() == comparison
+
+
+def test_a_run_without_its_record_is_refused_and_left_out(workspace, capsys):
+    config_path, out_dir = workspace
+    _scored_runs(config_path)
+    (out_dir / "adapted" / "record.json").unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path)]) == EXIT_DATA
+    assert "has no record.json" in _one_data_error(capsys)
+    assert main(["report", "--config", str(config_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "== adapted ==" not in out
+    assert "left out, no record of training on the current splits: adapted\n" in out
+    table = (out_dir / "comparison.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in table[1:]] == ["no_transfer", "supervised"]
+
+
 README_CONFIG = {
     "seed": 7,
     "data": {"kind": "synthetic", "synthetic": {
@@ -348,7 +389,7 @@ def test_report_prints_only_the_runs_on_the_current_splits(tmp_path, capsys):
     assert json.loads((adapted / "report.json").read_text())["total"] == 21
     assert capsys.readouterr().out == (
         f"== adapted ==\n{(adapted / 'report.txt').read_text()}\n"
-        "left out, trained on other splits than the current ones: no_transfer, supervised\n")
+        "left out, no record of training on the current splits: no_transfer, supervised\n")
 
 
 def _scored_workspace(workspace, capsys):
@@ -561,6 +602,17 @@ def test_csv_config_prepares(csv_workspace):
     config_path, out_dir = csv_workspace
     assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
     assert (out_dir / "prepared" / "prepare.json").exists()
+
+
+def test_csv_header_naming_a_column_twice_is_a_data_error(csv_workspace, capsys):
+    config_path, out_dir = csv_workspace
+    corpus = config_path.parent / "corpus.csv"
+    lines = corpus.read_text().splitlines(keepends=True)
+    assert lines[0] == "subject,label,ch0,ch1\n"
+    corpus.write_text("subject,label,ch0,ch0\n" + "".join(lines[1:]))
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_DATA
+    assert f"{corpus}: header names column 'ch0' more than once" in _one_data_error(capsys)
+    assert not (out_dir / "prepared" / "prepare.json").exists()
 
 
 @pytest.mark.parametrize("overrides", [

@@ -540,8 +540,11 @@ def test_evaluate_scores_explicit_checkpoint_path(tmp_path):
     baselines_run(cfg)
     ckpt = cfg.run_dir("no_transfer") / "checkpoint.json"
     rep = evaluate_run(cfg, checkpoint_path=ckpt, run_name="no_transfer")
-    assert (cfg.run_dir("no_transfer") / "report.json").exists()
     assert rep["total"] == 8  # 24 windows split 14/2/8
+    # a path, even to a run's own checkpoint, is scored and printed only
+    assert sorted(p.name for p in cfg.run_dir("no_transfer").iterdir()) == [
+        "checkpoint.json", "record.json"]
+    assert not (cfg.output_dir / "comparison.csv").exists()
 
 
 def test_each_stage_loads_only_the_splits_it_reads(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from subadapt.networks import (_ROW_BLOCK, Classifier, ClassifierSpec, ConvLayer
 from subadapt.pipeline import PipelineError
 from subadapt.tensor import ShapeError, Tape, Tensor, paused
 
-from conftest import parameter_count
+from conftest import layer_table, parameter_count
 
 
 def small_specs(dim=10, classes=3, seed=0):
@@ -29,29 +29,29 @@ def small_specs(dim=10, classes=3, seed=0):
 
 def test_generator_layer_audit():
     gen = Generator(GeneratorSpec(50, blocks=2, filters=16, noise_dim=8))
-    desc = gen.architecture()["layers"]
+    desc = layer_table(gen)
     assert len(desc) == 2 * 2 + 1
     for layer in desc[:-1]:
         assert layer["type"] == "conv1d"
         assert layer["filters"] == 16
-        assert layer["kernel_size"] == 3 and layer["stride"] == 1
-        assert layer["padding"] == "same"
+        assert layer["kernel_size"] == 3
         assert layer["activation"] == "relu"
     out = desc[-1]
+    assert out["type"] == "conv1d" and out["kernel_size"] == 3
     assert out["filters"] == 1 and out["activation"] == "linear"
     assert desc[0]["in_channels"] == 2  # signal plus tiled noise channel
 
 
 def test_generator_without_noise_has_single_input_channel():
     gen = Generator(GeneratorSpec(20, blocks=1, filters=4, noise_dim=0))
-    assert gen.architecture()["layers"][0]["in_channels"] == 1
+    assert layer_table(gen)[0]["in_channels"] == 1
     out = gen.forward(np.zeros((3, 20)))
     assert out.shape == (3, 20)
 
 
 def test_discriminator_layer_audit():
     disc = Discriminator(DiscriminatorSpec(50, base_filters=8))
-    desc = disc.architecture()["layers"]
+    desc = layer_table(disc)
     assert [l["filters"] for l in desc[:-1]] == [16, 32, 64, 32, 16]
     assert all(l["activation"] == "leaky_relu" for l in desc[:-1])
     head = desc[-1]
@@ -63,7 +63,7 @@ def test_discriminator_layer_audit():
 @pytest.mark.parametrize("cf,expected", [(16, [16, 8, 4]), (8, [8, 4, 2]), (5, [5, 2, 1])])
 def test_classifier_filter_ladder(cf, expected):
     cls = Classifier(ClassifierSpec(30, num_classes=4, base_filters=cf))
-    desc = cls.architecture()["layers"]
+    desc = layer_table(cls)
     assert [l["filters"] for l in desc[:-1]] == expected
     assert all(l["activation"] == "relu" for l in desc[:-1])
     assert desc[-1]["units"] == 4 and desc[-1]["activation"] == "softmax"
@@ -118,15 +118,17 @@ def test_forward_shapes_batched_and_single():
 
 
 def test_each_conv_layer_call_is_one_tape_op():
+    """Each conv layer is one taped conv1d, stride 1 with length-preserving padding."""
     bundle = build_bundle(*small_specs())
     rng = np.random.default_rng(5)
     activations = set()
     for net in (bundle.generator, bundle.discriminator, bundle.classifier):
         for layer in (l for l in (*net.layers, net.output_layer) if isinstance(l, ConvLayer)):
+            filters, channels, _ = layer.kernels.shape
             with Tape() as tape:
-                out = layer(Tensor(rng.normal(size=(4, layer.in_channels, 10))))
+                out = layer(Tensor(rng.normal(size=(4, channels, 10))))
             assert [op.name for op in tape.ops] == ["conv1d"], layer.name
-            assert tape.ops[0].output is out and out.shape == (4, layer.out_channels, 10)
+            assert tape.ops[0].output is out and out.shape == (4, filters, 10)
             activations.add(layer.activation)
     assert activations == {"relu", "leaky_relu", "linear"}
 
@@ -400,13 +402,13 @@ def test_checkpoint_damage_raises_checkpoint_error(tmp_path, how):
 
 
 # ---------------------------------------------------------------------------
-# pinned values: names, architectures and the initial checkpoint bytes of the
+# pinned values: names, layer tables and the initial checkpoint bytes of the
 # default networks at window dimension 50, 4 classes, seed 7
 
 
 def _conv(name, in_channels, filters, activation):
     return {"type": "conv1d", "name": name, "in_channels": in_channels, "filters": filters,
-            "kernel_size": 3, "stride": 1, "padding": "same", "activation": activation}
+            "kernel_size": 3, "activation": activation}
 
 
 def _dense(in_features, units, activation):
@@ -421,21 +423,15 @@ DISCRIMINATOR_NAMES = [*(f"conv{i}.{p}" for i in range(5) for p in ("kernels", "
                        "output.weights", "output.bias"]
 CLASSIFIER_NAMES = [*(f"conv{i}.{p}" for i in range(3) for p in ("kernels", "bias")),
                     "output.weights", "output.bias"]
-ARCHITECTURES = {
-    "generator": {
-        "kind": "generator", "input_dim": 50, "blocks": 2, "filters": 32, "noise_dim": 16,
-        "layers": [_conv("block0.conv0", 2, 32, "relu"), _conv("block0.conv1", 32, 32, "relu"),
-                   _conv("block1.conv0", 32, 32, "relu"), _conv("block1.conv1", 32, 32, "relu"),
-                   _conv("output", 32, 1, "linear")]},
-    "discriminator": {
-        "kind": "discriminator", "input_dim": 50, "base_filters": 8,
-        "layers": [_conv("conv0", 1, 16, "leaky_relu"), _conv("conv1", 16, 32, "leaky_relu"),
-                   _conv("conv2", 32, 64, "leaky_relu"), _conv("conv3", 64, 32, "leaky_relu"),
-                   _conv("conv4", 32, 16, "leaky_relu"), _dense(800, 1, "tanh")]},
-    "classifier": {
-        "kind": "classifier", "input_dim": 50, "num_classes": 4, "base_filters": 16,
-        "layers": [_conv("conv0", 1, 16, "relu"), _conv("conv1", 16, 8, "relu"),
-                   _conv("conv2", 8, 4, "relu"), _dense(200, 4, "softmax")]},
+LAYER_TABLES = {
+    "generator": [_conv("block0.conv0", 2, 32, "relu"), _conv("block0.conv1", 32, 32, "relu"),
+                  _conv("block1.conv0", 32, 32, "relu"), _conv("block1.conv1", 32, 32, "relu"),
+                  _conv("output", 32, 1, "linear")],
+    "discriminator": [_conv("conv0", 1, 16, "leaky_relu"), _conv("conv1", 16, 32, "leaky_relu"),
+                      _conv("conv2", 32, 64, "leaky_relu"), _conv("conv3", 64, 32, "leaky_relu"),
+                      _conv("conv4", 32, 16, "leaky_relu"), _dense(800, 1, "tanh")],
+    "classifier": [_conv("conv0", 1, 16, "relu"), _conv("conv1", 16, 8, "relu"),
+                   _conv("conv2", 8, 4, "relu"), _dense(200, 4, "softmax")],
 }
 # PCG64 draws and IEEE arithmetic only (no BLAS), so the bytes are portable
 INITIAL_BUNDLE_SHA256 = "9b86adf613b08f5753bf23c0cb0ee6ac194a9d12bf33b89eb5ae43613349501e"
@@ -463,8 +459,8 @@ def test_parameter_names_are_pinned():
 
 def test_architectures_are_pinned():
     bundle = default_bundle()
-    for kind, expected in ARCHITECTURES.items():
-        assert getattr(bundle, kind).architecture() == expected
+    for kind, expected in LAYER_TABLES.items():
+        assert layer_table(getattr(bundle, kind)) == expected
 
 
 def test_initial_bundle_checkpoint_bytes_are_pinned(tmp_path):

@@ -240,6 +240,17 @@ def test_load_single_channel_column(tmp_path):
     assert rec.frames.shape == (2, 1) and np.isnan(rec.frames[1, 0])
 
 
+def test_load_refuses_a_header_that_names_a_column_twice(tmp_path):
+    # read by name, the second `a` would never be read: its cells would repeat the first's
+    p = write_csv(tmp_path / "d.csv", "subject,label,a,a\ns1,w,1.0,2.0\ns1,w,3.0,4.0\n")
+    with pytest.raises(PipelineError, match=r"d\.csv: header names column 'a' more than once"):
+        load_recordings(p, CsvSchema(), sample_rate=1.0)
+    # the header is checked before any row: a bad cell below it is not what is reported
+    p = write_csv(tmp_path / "e.csv", "subject,label, b,subject\ns1,w,x,s1\n")
+    with pytest.raises(PipelineError, match=r"e\.csv: header names column 'subject' more"):
+        load_recordings(p, CsvSchema(channel_columns=("b",)), sample_rate=1.0)
+
+
 def test_load_reports_line_and_column_of_first_bad_cell_after_blank_lines(tmp_path):
     p = write_csv(tmp_path / "d.csv",
                   "subject,label,a,b,c\ns1,w,1,2,3\n\n\n  \ns1,w,4,x y,z\ns1,w,5,q,6\n")
