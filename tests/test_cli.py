@@ -302,13 +302,18 @@ def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, d
     assert str(path) in _one_data_error(capsys)
 
 
-def test_comparison_leaves_out_runs_trained_on_other_splits(workspace, capsys):
-    config_path, out_dir = workspace
-    config = ["--config", str(config_path)]
+def _scored_runs(config_path):
+    """Every run trained and scored on the workspace's splits, so comparison.csv exists."""
     for command in (["prepare"], ["train"], ["baselines"],
                     *(["evaluate", "--run", run] for run in RUN_NAMES)):
-        assert main([*command, *config]) == EXIT_OK
+        assert main([*command, "--config", str(config_path)]) == EXIT_OK
+
+
+def test_comparison_leaves_out_runs_trained_on_other_splits(workspace, capsys):
+    config_path, out_dir = workspace
+    _scored_runs(config_path)
     assert (out_dir / "comparison.csv").exists()
+    config = ["--config", str(config_path)]
     # other splits, with another test-set size: the baselines' reports are stale now
     config += ["--set", "data.synthetic.class_counts=[16,16]"]
     for command in (["prepare"], ["train"], ["evaluate", "--run", "adapted"], ["report"]):
@@ -321,13 +326,6 @@ def test_comparison_leaves_out_runs_trained_on_other_splits(workspace, capsys):
     table = (out_dir / "comparison.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in table[1:]] == ["no_transfer", "adapted"]
     assert capsys.readouterr().err == ""
-
-
-def _scored_runs(config_path):
-    """Every run trained and scored on the workspace's splits, so comparison.csv exists."""
-    for command in (["prepare"], ["train"], ["baselines"],
-                    *(["evaluate", "--run", run] for run in RUN_NAMES)):
-        assert main([*command, "--config", str(config_path)]) == EXIT_OK
 
 
 def test_a_checkpoint_scored_by_path_writes_nothing_whatever_its_name(workspace, tmp_path,
