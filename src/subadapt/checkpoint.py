@@ -75,7 +75,13 @@ def _rebuild(entry, where: str):
                 and isinstance(rec.get("values"), list) and len(rec["values"]) == p.data.size
                 and all(type(v) in (int, float) for v in rec["values"])):
             raise PipelineError(f"{where}: parameter {pname!r} does not fit shape {p.data.shape}")
-        p.data = np.asarray(rec["values"], dtype=np.float64).reshape(p.data.shape)
+        try:
+            values = np.asarray(rec["values"], dtype=np.float64)
+        except OverflowError:   # an integer beyond float64's range
+            values = None
+        if values is None or not np.isfinite(values).all():
+            raise PipelineError(f"{where}: parameter {pname!r} holds a NaN or infinite value")
+        p.data = values.reshape(p.data.shape)
     return net
 
 

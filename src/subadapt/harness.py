@@ -34,12 +34,13 @@ from . import evaluation as ev
 from .checkpoint import load_checkpoint, save_bundle, save_checkpoint
 from .networks import (Classifier, ClassifierSpec, DiscriminatorSpec, GeneratorSpec,
                        build_bundle)
-from .pipeline import (CsvSchema, DomainDataset, PcaSize, PipelineError, RawRecording,
+from .pipeline import (CsvSchema, DomainDataset, PipelineError, RawRecording,
                        SplitSpec, SynthSpec, SyntheticStream, Windowing, apply_minmax,
                        apply_pca, declared_minmax, fit_minmax, fit_pca,
                        generate_synthetic_pair, impute_missing, load_recordings, read_json,
                        rotation_mixing, save_recordings_csv, segment_windows, split_domain,
                        split_sizes)
+from .sampler import compute_micro_size
 from .trainer import DivergedError, TrainerConfig, train, train_classifier
 
 SPLIT_NAMES = ("source_train", "source_val", "source_test",
@@ -76,13 +77,12 @@ class CsvDataConfig:
 
 @dataclass
 class PreprocessingConfig:
-    pca_dim: int | None = None          # give one of pca_dim and pca_fraction, or neither
-    pca_fraction: float | None = None   # to skip PCA
+    pca_dim: int | None = None          # None skips PCA
     split: SplitSpec = SplitSpec()
 
     def __post_init__(self):
-        if self.pca_dim is not None or self.pca_fraction is not None:
-            PcaSize(self.pca_dim, self.pca_fraction)
+        if self.pca_dim is not None and self.pca_dim < 1:
+            raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
 
 
 @dataclass
@@ -170,7 +170,6 @@ _TYPES = {   # field annotation -> (what a config value must be, its JSON type, 
     "int": ("an integer", object, _whole),
     "float": ("a finite number", object, lambda v: float(_number(v))),
     "str": ("a string", str, str),
-    "bool": ("true or false", bool, bool),
     "dict": ("an object", dict, dict),
     "tuple[str, ...]": ("a list of strings", list, _strings),
     "tuple[int, ...]": ("a list of integers", list, lambda v: tuple(_whole(c) for c in v)),
@@ -240,8 +239,7 @@ def _resolve_synth(section, seed: int) -> SynthSpec:
 
 
 # the sampler section sets these TrainerConfig fields; the trainer section sets the rest
-_SAMPLER_KEYS = {"micro_size": "micro_size", "micro_cap": "micro_cap",
-                 "with_replacement": "with_replacement", "mode": "sampler"}
+_SAMPLER_KEYS = {"micro_cap": "micro_cap", "mode": "sampler"}
 
 
 def resolve_config(raw: dict) -> RunConfig:
@@ -407,10 +405,10 @@ def prepare_run(cfg: RunConfig) -> dict:
         norm.apply_in_place(pooled)   # scales the two train splits, its row halves
 
     pca, prep = None, cfg.preprocessing
-    if prep.pca_dim is not None or prep.pca_fraction is not None:
+    if prep.pca_dim is not None:
         if pooled is None:
             pooled = np.concatenate([ds.windows for ds in train.values()])
-        pca = fit_pca(pooled, output_dim=prep.pca_dim, fraction=prep.pca_fraction)
+        pca = fit_pca(pooled, prep.pca_dim)
         pca.to_json(out / "pca.json")
         train = {name: ds.with_windows(pca.project(rows)) for (name, ds), rows
                  in zip(train.items(), np.split(pooled, [len(train["source_train"])]))}
@@ -530,7 +528,7 @@ def baselines_run(cfg: RunConfig) -> dict:
     if jobs["supervised"].labels is None:
         raise PipelineError("supervised baseline needs a labeled target train split")
     source = splits["source_train"]
-    batch_size = cfg.trainer.micro_size_for(source) * source.num_classes
+    batch_size = compute_micro_size(source, cfg.trainer.micro_cap) * source.num_classes
     for name, data in jobs.items():
         started = time.time()
         cls = Classifier(cfg.networks.specs(data.dim, data.num_classes, cfg.seed)[2])
@@ -590,9 +588,24 @@ def scored_runs(cfg: RunConfig) -> tuple[list, list]:
 
 
 def refresh_comparison(cfg: RunConfig):
-    """Rebuild comparison.csv from reports of runs on the current splits; drop it under two."""
-    named = [(name, read_json(cfg.run_dir(name) / "report.json", "total", "weighted_f1"))
-             for name in scored_runs(cfg)[0]]
+    """Rebuild comparison.csv from reports of runs on the current splits; drop it under two.
+    A report whose total or weighted F1 is not a number, or whose total differs from the
+    first report's, is refused."""
+    named = []
+    for name in scored_runs(cfg)[0]:
+        stored = cfg.run_dir(name) / "report.json"
+        rep = read_json(stored, "total", "weighted_f1")
+        for key, check in (("total", _whole), ("weighted_f1", _number)):
+            try:
+                check(rep[key])
+            except ValueError:
+                raise PipelineError(f"{stored} is damaged: {key} is "
+                                    f"{json.dumps(rep[key])}") from None
+        if named and rep["total"] != named[0][1]["total"]:
+            first = cfg.run_dir(named[0][0]) / "report.json"
+            raise PipelineError(f"{stored} scores {rep['total']} test windows, {first} "
+                                f"{named[0][1]['total']}; evaluate the runs again")
+        named.append((name, rep))
     path = cfg.output_dir / "comparison.csv"
     if len(named) < 2:
         path.unlink(missing_ok=True)

@@ -73,10 +73,11 @@ class CsvSchema:
         if self.missing_marker != self.missing_marker.strip():
             raise PipelineError(f"missing_marker must not start or end with whitespace, "
                                 f"got {self.missing_marker!r}")
-        columns = self.channel_columns or ()
-        repeated = [c for i, c in enumerate(columns) if c in columns[:i]]
-        if repeated:
-            raise PipelineError(f"channel_columns names {repeated[0]!r} more than once")
+        for name in ("channel_columns", "allowed_labels"):   # labels name classes one to one
+            values = getattr(self, name) or ()
+            repeated = [c for i, c in enumerate(values) if c in values[:i]]
+            if repeated:
+                raise PipelineError(f"{name} names {repeated[0]!r} more than once")
 
 
 def _check_sample_rate(rate: float) -> None:
@@ -406,11 +407,24 @@ class DomainDataset:
         directory = Path(directory)
         meta = read_json(directory / "meta.json", "subject_id", "num_classes", "label_names",
                          "labeled")
+        classes, names = meta["num_classes"], meta["label_names"]
+        valid = {
+            "subject_id": isinstance(meta["subject_id"], str),
+            "num_classes": type(classes) is int and classes >= 1,
+            "labeled": isinstance(meta["labeled"], bool),
+            "label_names": names is None or (
+                isinstance(names, list) and len(names) == classes
+                and all(isinstance(n, str) for n in names) and len(set(names)) == classes),
+        }
+        for key, ok in valid.items():
+            if not ok:
+                raise PipelineError(f"{directory / 'meta.json'} is damaged: "
+                                    f"{key} is {json.dumps(meta[key])}")
         labels = _read_array(directory / "labels.npy") if meta["labeled"] else None
         return DomainDataset(
             subject_id=meta["subject_id"], windows=_read_array(directory / "windows.npy"),
-            labels=labels, num_classes=meta["num_classes"],
-            label_names=tuple(meta["label_names"]) if meta["label_names"] else None)
+            labels=labels, num_classes=classes,
+            label_names=None if names is None else tuple(names))
 
 
 @dataclass(frozen=True)
@@ -500,30 +514,10 @@ class PcaModel:
             sort_keys=True) + "\n")
 
 
-@dataclass(frozen=True)
-class PcaSize:
-    """How many principal components to keep: `output_dim`, or round(`fraction` x d)
-    of d-dimensional windows. Exactly one of the two is given."""
-    output_dim: int | None = None
-    fraction: float | None = None
-
-    def __post_init__(self):
-        if (self.output_dim is None) == (self.fraction is None):
-            raise PipelineError("give either a PCA output dimension or a PCA fraction, not both")
-        if self.output_dim is not None and self.output_dim < 1:
-            raise PipelineError(f"PCA output dimension must be >= 1, got {self.output_dim}")
-        if self.fraction is not None and not (0.0 < self.fraction <= 1.0):
-            raise PipelineError(f"PCA fraction must lie in (0, 1], got {self.fraction}")
-
-    def components(self, d: int) -> int:
-        return self.output_dim if self.fraction is None else max(1, half_up(self.fraction * d))
-
-
-def fit_pca(windows: np.ndarray, output_dim: int | None = None,
-            fraction: float | None = None) -> PcaModel:
+def fit_pca(windows: np.ndarray, output_dim: int) -> PcaModel:
     """Fit on the rows of a [rows, d] float64 matrix and centre it in place, so the
-    caller gives up its raw values; keep output_dim (or round(fraction * d))
-    components. `PcaModel.project` reduces the centred rows.
+    caller gives up its raw values; keep output_dim components. `PcaModel.project`
+    reduces the centred rows.
 
     The components are the leading eigenvectors of the d x d scatter matrix of
     the centred windows. That costs O(rows * d^2 + d^3), against O(rows * d *
@@ -538,9 +532,8 @@ def fit_pca(windows: np.ndarray, output_dim: int | None = None,
     if windows.shape[0] < 2:
         raise PipelineError(f"need at least 2 windows, got shape {windows.shape}")
     rows, d = windows.shape
-    output_dim = PcaSize(output_dim, fraction).components(d)
     bound = min(rows, d)
-    if output_dim > bound:
+    if not 1 <= output_dim <= bound:
         raise PipelineError(f"output_dim must lie in [1, {bound}] for {rows} windows "
                             f"of dimension {d}, got {output_dim}")
     mean = windows.mean(axis=0)

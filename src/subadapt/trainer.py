@@ -46,9 +46,7 @@ class TrainerConfig:
     adversary_weight: float = 1.0        # mu
     classification_weight: float = 1.0   # lambda
     epochs: int = 150
-    micro_size: int | None = None        # m; None derives it from the source class counts
-    micro_cap: int = 32
-    with_replacement: bool = False
+    micro_cap: int = 32                  # m: the smallest source class count, capped here
     sampler: str = "micro"               # "plain" is the ablation control
     smoothing_pos: float = 0.9           # a: critic regression target magnitude
     noise_amplitude: float = 0.1         # input noise, annealed linearly to 0
@@ -69,8 +67,6 @@ class TrainerConfig:
             raise ValueError("noise_amplitude must be >= 0")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.micro_size is not None and self.micro_size < 1:
-            raise ValueError("micro_size must be >= 1")
         if self.micro_cap < 1:
             raise ValueError("micro_cap must be >= 1")
         if self.sampler not in ("micro", "plain"):
@@ -80,11 +76,6 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-
-    def micro_size_for(self, source: DomainDataset) -> int:
-        """m: micro_size if given, else the smallest source class count capped at micro_cap."""
-        return self.micro_size if self.micro_size is not None \
-            else compute_micro_size(source, self.micro_cap)
 
 
 @dataclass
@@ -271,15 +262,15 @@ def train(bundle: ModelBundle, source: DomainDataset, target: DomainDataset,
         raise ValueError(f"classifier has {bundle.classifier.spec.num_classes} classes, "
                          f"source has {source.num_classes}")
 
-    micro = cfg.micro_size_for(source)
+    micro = compute_micro_size(source, cfg.micro_cap)
     state = make_state(cfg)
     state.last_good = _snapshot(bundle)
 
     def run_epoch(epoch: int) -> list:
         state.noise_scale = (cfg.epochs - epoch) / cfg.epochs
         # the plain plan is the ablation control: same batch size and pacing, no class structure
-        plan = EpochPlan(source, target, micro, cfg.seed, epoch, cfg.with_replacement) \
-            if cfg.sampler == "micro" else PlainEpochPlan(source, target, micro, cfg.seed, epoch)
+        plan = (EpochPlan if cfg.sampler == "micro" else PlainEpochPlan)(
+            source, target, micro, cfg.seed, epoch)
         losses_g = [train_step(bundle, batch, cfg, state).loss_g for batch in plan]
         state.mean_discrepancy.append(_mean_discrepancy(bundle, source, target, cfg, epoch))
         state.last_good, state.last_good_step = _snapshot(bundle), state.step

@@ -180,7 +180,7 @@ def test_report_with_nothing_to_show(workspace, capsys):
     assert "no reports found" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("damage", ["truncated", "foreign"])
+@pytest.mark.parametrize("damage", ["truncated", "foreign", "nan", "infinity", "overflow"])
 def test_damaged_checkpoint_is_a_data_error(workspace, capsys, damage):
     config_path, out_dir = workspace
     assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
@@ -188,7 +188,19 @@ def test_damaged_checkpoint_is_a_data_error(workspace, capsys, damage):
     capsys.readouterr()
     ckpt = out_dir / "adapted" / "checkpoint.json"
     text = ckpt.read_text()
-    ckpt.write_text(text[:len(text) // 2] if damage == "truncated" else '{"models": []}\n')
+    if damage in ("nan", "infinity", "overflow"):   # one classifier value, not a finite float64
+        payload = json.loads(text)
+        first = next(iter(payload["models"]["classifier"]["parameters"].values()))
+        first["values"][0] = {"nan": float("nan"), "infinity": -float("inf"),
+                              "overflow": 10 ** 400}[damage]
+        ckpt.write_text(json.dumps(payload))
+    else:
+        ckpt.write_text(text[:len(text) // 2] if damage == "truncated" else '{"models": []}\n')
+    # a copy given by path is refused the same way
+    copy = out_dir / "copy.json"
+    copy.write_text(ckpt.read_text())
+    assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(copy)]) == EXIT_DATA
+    assert str(copy) in _one_data_error(capsys)
     assert main(["evaluate", "--config", str(config_path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(ckpt) in err
@@ -280,10 +292,26 @@ def test_evaluate_after_prepare_with_other_seed_is_a_data_error(workspace, capsy
     ("no_transfer/report.json", b"{}\n", ["report"]),
     ("prepared/target_test/meta.json", b"{}\n", ["evaluate"]),
     ("prepared/prepare.json", b"{}\n", ["train"]),
+    ("prepared/target_test/meta.json", {"num_classes": "2"}, ["evaluate"]),
+    ("prepared/target_test/meta.json", {"num_classes": True}, ["evaluate"]),
+    ("prepared/target_test/meta.json", {"label_names": 7}, ["evaluate"]),
+    ("prepared/target_test/meta.json", {"label_names": ["c0"]}, ["evaluate"]),
+    ("prepared/target_test/meta.json", {"label_names": ["c0", "c0"]}, ["evaluate"]),
+    ("prepared/source_train/meta.json", {"labeled": "yes"}, ["train"]),
+    ("prepared/source_train/meta.json", {"subject_id": 3}, ["train"]),
+    ("no_transfer/report.json", {"weighted_f1": "x"}, ["report"]),
+    ("no_transfer/report.json", {"weighted_f1": True}, ["report"]),
+    ("no_transfer/report.json", {"total": "12"}, ["report"]),
+    ("no_transfer/report.json", {"total": 5}, ["evaluate", "--run", "adapted"]),
 ], ids=["adapted/record.json", "prepared/prepare.json", "record-not-an-object",
         "prepare-not-an-object", "meta.json", "windows.npy-data-cut", "labels.npy-header-cut",
         "report.json-report", "report.json-evaluate", "report.json-no-keys", "meta.json-no-keys",
-        "prepare.json-no-keys"])
+        "prepare.json-no-keys", "meta.json-num_classes-string", "meta.json-num_classes-bool",
+        "meta.json-label_names-number", "meta.json-label_names-short",
+        "meta.json-label_names-repeated", "meta.json-labeled-string",
+        "meta.json-subject_id-number", "report.json-weighted_f1-string",
+        "report.json-weighted_f1-bool", "report.json-total-string",
+        "report.json-total-differs"])
 def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, damaged,
                                                             content, command):
     config_path, out_dir = workspace
@@ -295,9 +323,13 @@ def test_damaged_run_record_or_prepare_json_is_a_data_error(workspace, capsys, d
     capsys.readouterr()
     path = out_dir / damaged
     data = path.read_bytes()
-    # cut to 20 bytes by default; "half" keeps a whole .npy header but half the data
-    path.write_bytes(data[:20] if content is None else
-                     data[:len(data) // 2] if content == "half" else content)
+    # cut to 20 bytes by default; "half" keeps a whole .npy header but half the data; a
+    # dict sets those keys of the stored JSON object
+    if isinstance(content, dict):
+        path.write_text(json.dumps({**json.loads(data), **content}))
+    else:
+        path.write_bytes(data[:20] if content is None else
+                         data[:len(data) // 2] if content == "half" else content)
     assert main([command[0], "--config", str(config_path), *command[1:]]) == EXIT_DATA
     assert str(path) in _one_data_error(capsys)
 
@@ -488,11 +520,10 @@ def test_unreadable_paths_are_one_line_errors(workspace, capsys, case, code):
     ("prepare", ["data.synthetic.sample_noise=-1"]),
     ("prepare", ["data.synthetic.offset=[0.1, 0.2, 0.3]"]),
     ("prepare", ["networks=3"]),
-    ("prepare", ['sampler.with_replacement="false"']),
     ("train", ["networks.blocks=0"]),
     ("baselines", ["networks.classifier_filters=2"]),
 ], ids=["blocks-abc", "seed-x", "pca_dim-x", "split-sum", "class_counts", "sample_noise",
-        "offset-shape", "networks-3", "with_replacement-string", "train-blocks-0",
+        "offset-shape", "networks-3", "train-blocks-0",
         "baselines-classifier_filters-2"])
 def test_malformed_config_values_are_one_line_config_errors(workspace, capsys, command,
                                                             overrides):
@@ -618,7 +649,6 @@ def test_csv_header_naming_a_column_twice_is_a_data_error(csv_workspace, capsys)
     ["data.csv.sample_rate=0"],
     ["data.csv.window_seconds=-1"],
     ["data.csv.window_seconds=0.1"],            # 0.4 frames: the window spans none
-    ["preprocessing.pca_fraction=2"],
     ["preprocessing.pca_dim=0"],
     ["preprocessing.pca_dim=-3"],
     ["data.csv.normalization=declared", "data.csv.declared_low=2"],
@@ -627,10 +657,11 @@ def test_csv_header_naming_a_column_twice_is_a_data_error(csv_workspace, capsys)
     ['data.csv.schema.channel_columns=["ch1", "ch0", "ch1"]'],
     ["data.csv.schema.channel_columns=[1, 2]"],
     ["data.csv.schema.allowed_labels=[1]"],
+    ['data.csv.schema.allowed_labels=["a", "b", "a"]'],   # labels name classes one to one
 ], ids=["overlap-1.5", "sample_rate-0", "window_seconds-neg", "window-no-frames",
-        "pca_fraction-2", "pca_dim-0", "pca_dim-neg", "declared-range-inverted",
+        "pca_dim-0", "pca_dim-neg", "declared-range-inverted",
         "missing_marker-padded", "missing_marker-trailing-tab", "channel_columns-repeated",
-        "channel_columns-numbers", "allowed_labels-numbers"])
+        "channel_columns-numbers", "allowed_labels-numbers", "allowed_labels-repeated"])
 def test_csv_and_pca_ranges_are_config_errors_before_data_is_read(csv_workspace, capsys,
                                                                   overrides):
     config_path, out_dir = csv_workspace

@@ -14,7 +14,7 @@ from subadapt.harness import (ConfigError, apply_overrides, baselines_run, evalu
                               load_config, load_prepared, prepare_run, resolve_config,
                               synth_run, train_run)
 from subadapt.networks import Classifier, ConvLayer
-from subadapt.pipeline import (CsvSchema, PcaSize, PipelineError, RawRecording,
+from subadapt.pipeline import (CsvSchema, PipelineError, RawRecording,
                                SynthSpec, apply_pca, fit_minmax, generate_synthetic_pair,
                                impute_missing, load_recordings, save_recordings_csv,
                                segment_windows, split_domain)
@@ -70,6 +70,11 @@ def test_minimal_config_fills_defaults(tmp_path):
     (lambda c: c["sampler"].update(shuffle=True), "shuffle"),
     (lambda c: c["data"].update(extra=1), "extra"),
     (lambda c: c["data"]["synthetic"].update(amplitude=2), "amplitude"),
+    (lambda c: c["sampler"].update(micro_size=4), r"unknown keys in sampler: \['micro_size'\]"),
+    (lambda c: c["sampler"].update(with_replacement=True),
+     r"unknown keys in sampler: \['with_replacement'\]"),
+    (lambda c: c.update(preprocessing={"pca_fraction": 0.5}),
+     r"unknown keys in preprocessing: \['pca_fraction'\]"),
 ])
 def test_unknown_keys_are_rejected_by_name(tmp_path, mutate, fragment):
     cfg = base_config(tmp_path)
@@ -94,9 +99,6 @@ def test_required_keys_and_kind_are_validated(tmp_path):
 def test_conflicting_selectors_are_rejected(tmp_path):
     cfg = base_config(tmp_path)
     cfg["data"]["synthetic"]["mixing"] = [[1, 0], [0, 1]]
-    with pytest.raises(ConfigError, match="not both"):
-        resolve_config(cfg)
-    cfg = base_config(tmp_path, preprocessing={"pca_dim": 4, "pca_fraction": 0.5})
     with pytest.raises(ConfigError, match="not both"):
         resolve_config(cfg)
 
@@ -360,9 +362,7 @@ def _prepare_reference(cfg, out):
                   for k, ds in splits.items()}
         pooled = _scaled_reference(norm, pooled)
         norm.to_json(out / "normalization.json")
-    prep = cfg.preprocessing
-    output_dim = PcaSize(prep.pca_dim, prep.pca_fraction).components(pooled.shape[1])
-    pca = pca_reference(pooled, output_dim)
+    pca = pca_reference(pooled, cfg.preprocessing.pca_dim)
     pca.to_json(out / "pca.json")
     for name, ds in splits.items():
         apply_pca(pca, ds).save(out / name)
@@ -394,7 +394,7 @@ def test_prepare_writes_the_bytes_of_the_copying_reference(tmp_path, kind):
         raw["data"]["synthetic"].update(channels=3, frames=6, class_counts=[30, 20])
     else:
         raw = csv_config(tmp_path / "out", _gappy_csv(tmp_path),
-                         preprocessing={"pca_fraction": 0.5})
+                         preprocessing={"pca_dim": 6})
         raw["data"]["csv"]["overlap"] = 0.5
     cfg = resolve_config(raw)
     prepare_run(cfg)

@@ -535,24 +535,12 @@ def test_pca_centres_its_argument_in_place_with_the_bytes_of_the_copying_referen
             fit_pca(bad, output_dim=1)
 
 
-def test_pca_fraction_selects_component_count():
-    rng = np.random.default_rng(26)
-    data = rng.normal(size=(50, 10))
-    assert fit_pca(data, fraction=0.25).output_dim == 3  # half_up(2.5)
-    assert fit_pca(data, fraction=1.0).output_dim == 10
-    assert fit_pca(data, fraction=0.01).output_dim == 1  # floor of one component
-
-
 def test_pca_validation():
     data = np.random.default_rng(27).normal(size=(20, 4))
-    with pytest.raises(PipelineError):
-        fit_pca(data)                       # neither selector
-    with pytest.raises(PipelineError):
-        fit_pca(data, output_dim=2, fraction=0.5)
+    with pytest.raises(PipelineError, match=r"\[1, 4\]"):
+        fit_pca(data, output_dim=0)
     with pytest.raises(PipelineError):
         fit_pca(data, output_dim=5)
-    with pytest.raises(PipelineError):
-        fit_pca(data, fraction=1.5)
     with pytest.raises(PipelineError):
         fit_pca(data[:1], output_dim=1)
     with pytest.raises(PipelineError):
@@ -566,8 +554,6 @@ def test_pca_output_dim_is_bounded_by_pooled_windows():
     data = np.random.default_rng(30).normal(size=(5, 10))
     with pytest.raises(PipelineError, match=r"\[1, 5\]"):
         fit_pca(data, output_dim=8)
-    with pytest.raises(PipelineError, match=r"\[1, 5\]"):
-        fit_pca(data, fraction=0.8)
     assert fit_pca(data, output_dim=5).output_dim == 5
 
 

@@ -1,6 +1,5 @@
-"""Batching: class-balanced micro-blocks, queue refills, the plain control."""
+"""Batching: class-balanced micro-blocks, target refills, the plain control."""
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
@@ -73,16 +72,15 @@ def test_epochs_shuffle_differently_but_reruns_replay():
     assert not all(np.array_equal(x, y) for x, y in zip(a0, a1))
 
 
-def test_small_class_requires_replacement_opt_in():
+def test_both_plans_refuse_m_above_the_smallest_class():
     src, tgt = labeled([2, 20, 20]), unlabeled(10)
-    with pytest.raises(PipelineError, match="with_replacement"):
-        EpochPlan(src, tgt, micro_size=5, seed=0)
-    with pytest.warns(UserWarning, match="refill"):
-        plan = EpochPlan(src, tgt, micro_size=5, seed=0, with_replacement=True)
-    batch = next(plan)
-    assert np.array_equal(np.bincount(batch.source_y, minlength=3), [5, 5, 5])
-    # the tiny class only has 2 distinct rows to offer
-    assert len(set(batch.source_indices[:5].tolist())) == 2
+    for plan_cls in (EpochPlan, PlainEpochPlan):
+        with pytest.raises(PipelineError, match="smallest class has 2 samples, fewer than "
+                                                "micro_size 3"):
+            plan_cls(src, tgt, micro_size=3, seed=0)
+        # at m = 2 one batch of 6 rows runs, and no source row is drawn twice
+        (batch,) = list(plan_cls(src, tgt, micro_size=2, seed=0))
+        assert len(set(batch.source_indices.tolist())) == 6
 
 
 def test_plan_validation():
@@ -115,15 +113,6 @@ def test_plain_plan_matches_size_and_count_without_balancing():
     assert totals[1] < totals[0] * 0.5  # minority is rare, as in the raw data
 
 
-def test_plain_plan_draws_whole_permutations():
-    # m=5 over two classes of 3: one batch of 10 rows from a 6-row source, so the
-    # queue hands out a whole permutation, then the first rows of a fresh one
-    src, tgt = labeled([3, 3]), unlabeled(5)
-    (batch,) = list(PlainEpochPlan(src, tgt, 5, seed=0))
-    assert sorted(batch.source_indices[:6].tolist()) == list(range(6))
-    assert len(set(batch.source_indices[6:].tolist())) == 4
-
-
 def test_plain_plan_validation():
     src, tgt = labeled([5, 5]), unlabeled(5)
     with pytest.raises(PipelineError, match="source dataset must be labeled"):
@@ -137,28 +126,20 @@ def test_plain_plan_validation():
 # sha256 of every batch's source then target indices, int64 little-endian, over
 # epochs 0-2; the plans draw no floats, so the digests hold on every BLAS kernel
 STREAM_PINS = {
-    "micro": ([13, 9, 11], 3, False,
+    "micro": (EpochPlan, [13, 9, 11], 3,
               "dcd4cc9100d0bbdbd4a58001053aaf5082a975125fe06bf1783d0b70165ff000"),
-    "plain": ([13, 9, 11], 3, None,
+    "plain": (PlainEpochPlan, [13, 9, 11], 3,
               "bb791a97122142a7151aa5a153956622b372040629298b6c87737714afbdaf11"),
-    "plain-refill": ([2, 9, 11], 10, None,
-                     "cab61c0523e7b5db9aca2e238267856bfd05c5f5aa7f37829195e3384506edd8"),
-    "micro-refill": ([2, 9, 11], 4, True,
-                     "80f718d43ec15e8f1f4b7ff8a7e4ec6b8cd45815cb1550ccbc9822865cf2a75b"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STREAM_PINS))
 def test_index_streams_are_pinned(case):
-    counts, m, with_replacement, expected = STREAM_PINS[case]
+    plan_cls, counts, m, expected = STREAM_PINS[case]
     src, tgt = labeled(counts), unlabeled(10)
     digest = hashlib.sha256()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # the refilling micro plan warns each epoch
-        for epoch in range(3):
-            plan = PlainEpochPlan(src, tgt, m, seed=5, epoch=epoch) if with_replacement is None \
-                else EpochPlan(src, tgt, m, seed=5, epoch=epoch, with_replacement=with_replacement)
-            for b in plan:
-                digest.update(b.source_indices.astype("<i8").tobytes())
-                digest.update(b.target_indices.astype("<i8").tobytes())
+    for epoch in range(3):
+        for b in plan_cls(src, tgt, m, seed=5, epoch=epoch):
+            digest.update(b.source_indices.astype("<i8").tobytes())
+            digest.update(b.target_indices.astype("<i8").tobytes())
     assert digest.hexdigest() == expected
