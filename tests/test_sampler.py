@@ -72,12 +72,16 @@ def test_epochs_shuffle_differently_but_reruns_replay():
     assert not all(np.array_equal(x, y) for x, y in zip(a0, a1))
 
 
-def test_both_plans_refuse_m_above_the_smallest_class():
+def test_small_class_requires_replacement_opt_in():
+    # there is no opt-in any more: both plans refuse an m above the smallest
+    # class, and neither takes a with_replacement argument
     src, tgt = labeled([2, 20, 20]), unlabeled(10)
     for plan_cls in (EpochPlan, PlainEpochPlan):
         with pytest.raises(PipelineError, match="smallest class has 2 samples, fewer than "
                                                 "micro_size 3"):
             plan_cls(src, tgt, micro_size=3, seed=0)
+        with pytest.raises(TypeError, match="with_replacement"):
+            plan_cls(src, tgt, micro_size=3, seed=0, with_replacement=True)
         # at m = 2 one batch of 6 rows runs, and no source row is drawn twice
         (batch,) = list(plan_cls(src, tgt, micro_size=2, seed=0))
         assert len(set(batch.source_indices.tolist())) == 6
@@ -111,6 +115,14 @@ def test_plain_plan_matches_size_and_count_without_balancing():
         for b in PlainEpochPlan(src, tgt, 8, seed=4, epoch=epoch):
             totals += np.bincount(b.source_y, minlength=3)
     assert totals[1] < totals[0] * 0.5  # minority is rare, as in the raw data
+
+
+def test_plain_plan_draws_whole_permutations():
+    # m=3 over two classes of 3: one batch of 6 rows from a 6-row source, so the
+    # batch is one whole permutation of the source, each row drawn once
+    src, tgt = labeled([3, 3]), unlabeled(5)
+    (batch,) = list(PlainEpochPlan(src, tgt, 3, seed=0))
+    assert sorted(batch.source_indices.tolist()) == list(range(6))
 
 
 def test_plain_plan_validation():
