@@ -73,7 +73,7 @@ def _rebuild(entry, where: str):
         rec = stored[pname]
         if not (isinstance(rec, dict) and rec.get("shape") == list(p.data.shape)
                 and isinstance(rec.get("values"), list) and len(rec["values"]) == p.data.size
-                and all(type(v) in (int, float) for v in rec["values"])):
+                and set(map(type, rec["values"])) <= {int, float}):
             raise PipelineError(f"{where}: parameter {pname!r} does not fit shape {p.data.shape}")
         try:
             values = np.asarray(rec["values"], dtype=np.float64)

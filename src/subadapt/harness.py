@@ -21,9 +21,12 @@ is written.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+import os
+import pickle
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -396,6 +399,7 @@ def prepare_run(cfg: RunConfig) -> dict:
     # models are written again only by a run that fits them
     for name in ("prepare.json", "normalization.json", "pca.json"):
         (out / name).unlink(missing_ok=True)
+    (cfg.output_dir / "comparison.csv").unlink(missing_ok=True)   # it ranks runs on old splits
 
     norm = None
     if cfg.data_kind == "synthetic":
@@ -470,10 +474,12 @@ def _losses_csv(history) -> str:
 def _record_run(cfg: RunConfig, name: str, state, started: float, trained_on: str | None,
                 artifacts, **own) -> dict:
     """Write and return run `name`'s record.json (the keys every run shares, the sha256 of
-    each file in `artifacts`, the run's `own` keys); drop the replaced checkpoint's report."""
+    each file in `artifacts`, the run's `own` keys); drop the replaced checkpoint's report
+    and the comparison that ranked it."""
     run_dir = cfg.run_dir(name)
-    for stale in ("report.json", "report.txt"):
-        (run_dir / stale).unlink(missing_ok=True)
+    for stale in (run_dir / "report.json", run_dir / "report.txt",
+                  cfg.output_dir / "comparison.csv"):
+        stale.unlink(missing_ok=True)
     record = {
         "run": name,
         "config": cfg.raw,
@@ -519,28 +525,76 @@ def train_run(cfg: RunConfig) -> dict:
             "loss_d": last.loss_d, "loss_c": last.loss_c, "loss_g": last.loss_g})
 
 
+def _forked(job):
+    """Start `job()` in a forked child process. Returns `join()`, which waits for the
+    child, reaps it and returns (the job's result, None) or (None, the job's exception)."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            # the collector leaves the inherited objects alone, so it copies none of
+            # the parent's pages into this process
+            gc.freeze()
+            os.close(read_end)
+            try:
+                outcome = (job(), None)
+            except BaseException as e:
+                outcome = (None, e)
+            payload = pickle.dumps(outcome)   # whole, or nothing reaches the pipe
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:   # the child never returns into its caller's frames
+            os._exit(status)
+    os.close(write_end)
+
+    def join():
+        try:
+            with os.fdopen(read_end, "rb") as pipe:
+                payload = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if not payload:
+            return None, RuntimeError(f"forked job ended without a result "
+                                      f"(wait status {status})")
+        return pickle.loads(payload)
+    return join
+
+
 def baselines_run(cfg: RunConfig) -> dict:
-    """The transfer sandwich bounds: source-only and target-supervised classifiers."""
+    """The transfer sandwich bounds: source-only and target-supervised classifiers.
+
+    The two jobs read nothing the other writes and draw from their own seeded streams,
+    so `supervised` trains in a forked child (POSIX only) while `no_transfer` trains
+    here. When both fail, the no_transfer error is the one raised."""
     splits = load_prepared(cfg, "source_train", "target_train")
     trained_on = _splits_sha256(cfg)
-    results = {}
     jobs = {"no_transfer": splits["source_train"], "supervised": splits["target_train"]}
     if jobs["supervised"].labels is None:
         raise PipelineError("supervised baseline needs a labeled target train split")
     source = splits["source_train"]
     batch_size = compute_micro_size(source, cfg.trainer.micro_cap) * source.num_classes
-    for name, data in jobs.items():
-        started = time.time()
+
+    def run(name: str) -> dict:
+        started, data = time.time(), jobs[name]
         cls = Classifier(cfg.networks.specs(data.dim, data.num_classes, cfg.seed)[2])
         _, state = train_classifier(cls, data, cfg.trainer, batch_size, label=name)
         run_dir = cfg.run_dir(name)
         run_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint({"classifier": cls}, run_dir / "checkpoint.json", seed=cfg.seed,
                         step_count=state.step)
-        results[name] = _record_run(
-            cfg, name, state, started, trained_on, ("checkpoint.json",),
-            final_loss=state.history[-1].loss_c if state.history else None)
-    return results
+        return _record_run(cfg, name, state, started, trained_on, ("checkpoint.json",),
+                           final_loss=state.history[-1].loss_c if state.history else None)
+
+    join = _forked(lambda: run("supervised"))
+    try:
+        no_transfer = run("no_transfer")
+    finally:   # on every path: an error raised here is not replaced by the child's
+        supervised, error = join()
+    if error is not None:
+        raise error
+    return {"no_transfer": no_transfer, "supervised": supervised}
 
 
 def evaluate_run(cfg: RunConfig, checkpoint_path=None, run_name: str = "adapted") -> dict:

@@ -40,6 +40,9 @@ class DivergedError(RuntimeError):
         self.checkpoint = checkpoint
         self.checkpoint_step = checkpoint_step
 
+    def __reduce__(self):   # pickled by its fields, as a forked baseline job sends it back
+        return type(self), (self.component, self.step, self.checkpoint, self.checkpoint_step)
+
 
 @dataclass
 class TrainerConfig:
@@ -230,13 +233,15 @@ def _plateaued(epoch_means: list, patience: int) -> bool:
 
 def _run_epochs(state: TrainState, cfg: TrainerConfig, run_epoch) -> None:
     """The epoch loop of both trainings: run_epoch(epoch) trains one epoch and returns the
-    losses the plateau rule watches; the loop stops at a plateau or at cfg.epochs."""
-    for epoch in range(cfg.epochs):
-        state.epoch = epoch
-        state.epoch_means.append(float(np.mean(run_epoch(epoch))))
-        if _plateaued(state.epoch_means, cfg.patience):
-            state.stop_reason = f"plateau after epoch {epoch + 1}"
-            return
+    losses the plateau rule watches; the loop stops at a plateau or at cfg.epochs. A loss
+    that overflows ends in a DivergedError, not in numpy's warnings."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            state.epoch = epoch
+            state.epoch_means.append(float(np.mean(run_epoch(epoch))))
+            if _plateaued(state.epoch_means, cfg.patience):
+                state.stop_reason = f"plateau after epoch {epoch + 1}"
+                return
     state.stop_reason = "epoch budget exhausted" if cfg.epochs else "no epochs requested"
 
 

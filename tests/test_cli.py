@@ -114,6 +114,49 @@ def test_baseline_records_explain_their_stop(workspace, capsys):
     assert f"no_transfer: 0 steps over 0 epochs (no epochs requested) -> {out_dir}" in out
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_baselines_divergence_is_one_line_on_stderr(workspace, capfd):
+    config_path, _ = workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    argv = ["baselines", "--config", str(config_path), "--set", "trainer.lr_classifier=1e80"]
+    # both jobs diverge; neither numpy's overflow warnings nor the forked job reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(subadapt.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "subadapt.cli", *argv], capture_output=True,
+                          env=env, timeout=60)
+    err = done.stderr.decode()
+    assert done.returncode == EXIT_DIVERGED
+    assert err.startswith("training diverged: ") and len(err.splitlines()) == 1
+    capfd.readouterr()
+    assert main(argv) == EXIT_DIVERGED
+    _no_child_left()
+    assert capfd.readouterr().err == err
+
+
+@pytest.mark.parametrize("blocked", [("supervised",), ("no_transfer",),
+                                     ("no_transfer", "supervised")],
+                         ids=["child-job", "parent-job", "both-jobs"])
+def test_a_failing_baseline_job_is_one_data_error(workspace, capfd, blocked):
+    config_path, out_dir = workspace
+    assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
+    for name in blocked:   # a regular file where the run's directory goes
+        (out_dir / name).write_text("")
+    capfd.readouterr()
+    code = main(["baselines", "--config", str(config_path)])
+    _no_child_left()
+    assert code == EXIT_DATA
+    err = capfd.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    # the no_transfer error is reported when both fail, as the serial order did
+    assert str(out_dir / blocked[0]) in err
+    for name in {"no_transfer", "supervised"} - set(blocked):   # the other job still ran
+        assert {p.name for p in (out_dir / name).iterdir()} == {"checkpoint.json",
+                                                                "record.json"}
+
+
 def test_evaluate_with_explicit_checkpoint(workspace, capsys):
     config_path, out_dir = workspace
     assert main(["prepare", "--config", str(config_path)]) == EXIT_OK
@@ -358,6 +401,19 @@ def test_comparison_leaves_out_runs_trained_on_other_splits(workspace, capsys):
     table = (out_dir / "comparison.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in table[1:]] == ["no_transfer", "adapted"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["train", "baselines", "prepare"])
+def test_retraining_or_preparing_drops_the_comparison(workspace, capsys, command):
+    config_path, out_dir = workspace
+    _scored_runs(config_path)
+    comparison = out_dir / "comparison.csv"
+    assert comparison.exists()
+    # the table ranked the old scores, or runs on the old splits
+    assert main([command, "--config", str(config_path)]) == EXIT_OK
+    assert not comparison.exists()
+    _scored_runs(config_path)
+    assert comparison.exists()
 
 
 def test_a_checkpoint_scored_by_path_writes_nothing_whatever_its_name(workspace, tmp_path,

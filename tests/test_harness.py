@@ -1,6 +1,8 @@
 """Run orchestration: config strictness, prepared layout, end-to-end artifacts."""
 import hashlib
 import json
+import os
+import signal
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,7 +20,8 @@ from subadapt.pipeline import (CsvSchema, PipelineError, RawRecording,
                                SynthSpec, apply_pca, fit_minmax, generate_synthetic_pair,
                                impute_missing, load_recordings, save_recordings_csv,
                                segment_windows, split_domain)
-from subadapt.trainer import TrainerConfig
+from subadapt.sampler import compute_micro_size
+from subadapt.trainer import TrainerConfig, train_classifier
 
 from conftest import pca_reference
 
@@ -545,6 +548,38 @@ def test_evaluate_scores_explicit_checkpoint_path(tmp_path):
     assert sorted(p.name for p in cfg.run_dir("no_transfer").iterdir()) == [
         "checkpoint.json", "record.json"]
     assert not (cfg.output_dir / "comparison.csv").exists()
+
+
+def test_baselines_write_the_checkpoints_of_in_process_training(tmp_path):
+    cfg = resolve_config(base_config(tmp_path / "out", preprocessing={"pca_dim": 5},
+                                     trainer={"epochs": 6}))
+    prepare_run(cfg)
+    records = baselines_run(cfg)   # supervised trains in a forked child
+    with pytest.raises(ChildProcessError):   # which is reaped
+        os.waitpid(-1, os.WNOHANG)
+    splits = load_prepared(cfg, "source_train", "target_train")
+    source = splits["source_train"]
+    batch_size = compute_micro_size(source, cfg.trainer.micro_cap) * source.num_classes
+    for name, split in (("no_transfer", "source_train"), ("supervised", "target_train")):
+        data = splits[split]
+        cls = Classifier(cfg.networks.specs(data.dim, data.num_classes, cfg.seed)[2])
+        _, state = train_classifier(cls, data, cfg.trainer, batch_size, label=name)
+        reference = tmp_path / f"{name}.json"
+        save_checkpoint({"classifier": cls}, reference, seed=cfg.seed, step_count=state.step)
+        assert state.step > 0
+        assert (cfg.run_dir(name) / "checkpoint.json").read_bytes() == reference.read_bytes()
+        assert records[name]["steps"] == state.step
+        assert records[name]["final_loss"] == state.history[-1].loss_c
+    assert list(records) == ["no_transfer", "supervised"]
+
+
+def test_a_forked_job_killed_before_its_result_is_an_error():
+    join = harness._forked(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    result, error = join()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert result is None
+    assert isinstance(error, RuntimeError) and "ended without a result" in str(error)
 
 
 def test_each_stage_loads_only_the_splits_it_reads(tmp_path, monkeypatch):
